@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,7 +20,8 @@ from .dataio import ExpansionSpec, expand, ingest
 from .penalties import PenaltySpec, penalty_table
 from .regress import forward_path
 from .selector import RULES, default_rule, msfdr_iterative, select
-from .simlab import ConfigOutcome, MethodOutcome, SimConfig, best_q_table, minimax_summary, run_config
+from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_table, method_label,
+                     minimax_summary, run_config)
 
 _FLOAT_FMT = "%.17g"
 
@@ -181,7 +181,12 @@ def campaign_grid(cfg: dict) -> Tuple[List[SimConfig], List[Tuple[PenaltySpec, O
     return grid, methods
 
 
+_CONFIG_FIELDS = ("m", "rho", "beta_type", "p_index", "replications", "seed",
+                  "sigma", "beta0", "c_scale", "effect_target")
+
+
 def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
+    """Write one cell's result file atomically (temp file, then rename)."""
     c = outcome.config
     path = out_dir / f"{c.key()}.tsv"
     lines = [
@@ -191,7 +196,10 @@ def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
         f"# p_index\t{c.p_index}",
         f"# replications\t{c.replications}",
         f"# seed\t{c.seed}",
-        f"# c_scale\t{c.c_scale}",
+        f"# sigma\t{_fmt(c.sigma)}",
+        f"# beta0\t{_fmt(c.beta0)}",
+        f"# c_scale\t{c.c_scale if c.c_scale == 'auto' else _fmt(c.c_scale)}",
+        f"# effect_target\t{_fmt(c.effect_target)}",
         f"# oracle_mspe\t{_fmt(outcome.oracle_mspe)}",
         f"# dominance_violations\t{outcome.dominance_violations}",
         "method\tmean_mspe\toracle_mspe\trelative_loss\tse_relative_loss",
@@ -201,7 +209,13 @@ def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
             f"{mo.label}\t{_fmt(mo.mean_mspe)}\t{_fmt(outcome.oracle_mspe)}"
             f"\t{_fmt(mo.relative_loss)}\t{_fmt(mo.se_relative_loss)}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -219,7 +233,10 @@ def read_outcome(path: Path) -> ConfigOutcome:
         label, mean_mspe, oracle_mspe, rel, se = ln.split("\t")
         oracle = float(oracle_mspe)
         methods.append(MethodOutcome(label, float(mean_mspe), float(rel), float(se)))
-    c_scale = meta.get("c_scale", "auto")
+    missing = [key for key in _CONFIG_FIELDS if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: result file lacks {', '.join(missing)}")
+    c_scale = meta["c_scale"]
     config = SimConfig(
         m=int(meta["m"]),
         rho=float(meta["rho"]),
@@ -227,10 +244,26 @@ def read_outcome(path: Path) -> ConfigOutcome:
         p_index=int(meta["p_index"]),
         replications=int(meta["replications"]),
         seed=int(meta["seed"]),
+        sigma=float(meta["sigma"]),
+        beta0=float(meta["beta0"]),
         c_scale="auto" if c_scale == "auto" else float(c_scale),
+        effect_target=float(meta["effect_target"]),
     )
     return ConfigOutcome(config=config, oracle_mspe=oracle, methods=tuple(methods),
                          dominance_violations=int(meta.get("dominance_violations", 0) or 0))
+
+
+def _stale(path: Path, config: SimConfig, labels: List[str]) -> Optional[str]:
+    """Why an existing result file does not hold this cell's result, or None."""
+    try:
+        done = read_outcome(path)
+    except (OSError, ValueError) as exc:
+        return f"an unreadable file ({exc})"
+    if done.config != config:
+        return "a different configuration"
+    if [mo.label for mo in done.methods] != labels:
+        return "a different method list"
+    return None
 
 
 def _run_one(payload):
@@ -243,14 +276,21 @@ def _cmd_simulate(args) -> int:
     grid, methods = campaign_grid(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    labels = [method_label(spec, rule)[1] for spec, rule in methods]
     pending = []
     for config in grid:
         target = out_dir / f"{config.key()}.tsv"
         if target.exists() and not args.force:
-            continue
+            reason = _stale(target, config, labels)
+            if reason is None:
+                continue
+            print(f"rerun {config.key()}: result file holds {reason}")
         pending.append(config)
     workers = args.workers or int(os.environ.get("STEPFDR_WORKERS", "0")) or (os.cpu_count() or 1)
     if workers > 1 and len(pending) > 1:
+        # Imported here: loading it pulls in multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for outcome in pool.map(_run_one, [(c, methods) for c in pending]):
                 write_outcome(outcome, out_dir)
@@ -278,25 +318,21 @@ def _cmd_summarize(args) -> int:
     worst_k = args.worst_k if args.worst_k == "ALL" else int(args.worst_k)
 
     ms = sorted({o.config.m for o in outcomes})
+    pairs = sorted({(o.config.m, o.config.rho) for o in outcomes})
     labels = [mo.label for mo in outcomes[0].methods]
+    by_m = [minimax_summary([o for o in outcomes if o.config.m == m], worst_k) for m in ms]
+    by_pair = [minimax_summary([o for o in outcomes if (o.config.m, o.config.rho) == pair],
+                               worst_k) for pair in pairs]
+
     print("# worst-%s relative loss by m" % args.worst_k)
     print("method\t" + "\t".join(f"m={m}" for m in ms))
     for label in labels:
-        row = [label]
-        for m in ms:
-            sub = [o for o in outcomes if o.config.m == m]
-            row.append("%.4g" % minimax_summary(sub, worst_k)[label])
-        print("\t".join(row))
+        print("\t".join([label] + ["%.4g" % summary[label] for summary in by_m]))
 
     print("# worst-%s relative loss by (m, rho)" % args.worst_k)
-    pairs = sorted({(o.config.m, o.config.rho) for o in outcomes})
     print("method\t" + "\t".join(f"m={m},rho={r:g}" for m, r in pairs))
     for label in labels:
-        row = [label]
-        for m, r in pairs:
-            sub = [o for o in outcomes if o.config.m == m and o.config.rho == r]
-            row.append("%.4g" % minimax_summary(sub, worst_k)[label])
-        print("\t".join(row))
+        print("\t".join([label] + ["%.4g" % summary[label] for summary in by_pair]))
 
     print("# overall worst-%s relative loss" % args.worst_k)
     overall = minimax_summary(outcomes, worst_k)

@@ -33,7 +33,7 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
     The named response column is separated out; remaining columns
-    become candidates.  Cells must be numeric; errors name the
+    become candidates.  Cells must be finite numbers; errors name the
     offending row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -61,6 +61,15 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
                 ) from None
         rows.append(row)
     data = np.array(rows)
+    # A row sum is non-finite when a cell is (or when it overflows); row
+    # sums keep the check from adding a matrix-sized temporary.
+    for ridx in np.flatnonzero(~np.isfinite(data.sum(axis=1))):
+        bad = np.flatnonzero(~np.isfinite(data[ridx]))
+        if bad.size:
+            raise ValueError(
+                f"{path}: non-finite cell at row {ridx + 1}, column {header[bad[0]]!r}: "
+                f"{lines[ridx + 1].split(delim)[bad[0]]!r}"
+            )
     ycol = header.index(response)
     keep = [j for j in range(len(header)) if j != ycol]
     ds = Dataset(

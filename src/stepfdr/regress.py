@@ -1,13 +1,15 @@
 """Least-squares machinery: standardization, the greedy forward path,
 exact reference solvers and residual-variance estimation.
 
-The forward path keeps residualized copies of every candidate column
-(classical Gram-Schmidt sweep), so each step costs O(n*m) instead of a
-full refit per candidate.
+The forward path works on the cross-product matrix X'X (Goodnight's
+SWEEP operator in pivoted-Cholesky form): X'X, X'y and the signal's
+X'mu are formed once, and each step costs O(m*k) instead of a pass
+over the n*m data.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -189,58 +191,67 @@ def forward_sweep(
     the path. When ``center`` is set an intercept is swept out first
     and does not count toward ``order``.
 
-    Ties break toward the lowest column index; the path stops early
-    once no candidate reduces the RSS by more than RANK_RTOL * RSS_0.
+    Ties (drops within RANK_RTOL * RSS_0 of the best) break toward the
+    lowest column index; the path stops early once no candidate reduces
+    the RSS by more than RANK_RTOL * RSS_0.
     """
-    Z = np.array(X, dtype=float)
-    r = np.array(y, dtype=float)
-    n, m = Z.shape
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m = X.shape[1]
+    b = None if true_mean is None else np.asarray(true_mean, dtype=float)
     if center:
-        Z -= Z.mean(axis=0)
-        r -= r.mean()
-    b = None
-    bias = None
-    if true_mean is not None:
-        b = np.asarray(true_mean, dtype=float)
-        if center:
+        X = X - X.mean(axis=0)
+        y = y - y.mean()
+        if b is not None:
             b = b - b.mean()
-        bias = [float(b @ b)]
 
-    norms2 = (Z * Z).sum(axis=0)
-    scores = Z.T @ r
-    scale = max(norms2.max(initial=0.0), 1.0)
-    rss0 = float(r @ r)
-    rss = [rss0]
-    order = []
-    active = np.ones(m, dtype=bool)
+    # Residual cross-products after k entries: Gram row j is G[j] minus
+    # L[:k, j] @ L[:k], where row l of L is the l-th entered column's
+    # residual Gram row divided by the square root of its pivot.
+    G = X.T @ X
+    scores = X.T @ y  # X'r for the current residual r
+    # Residual squared column norms; inf marks entered or degenerate columns.
+    norms2 = G.diagonal().copy()
+    floor = RANK_RTOL * max(norms2.max(initial=0.0), 1.0)
+    norms2[norms2 <= floor] = math.inf
+    rss0 = float(y @ y)
     tol = RANK_RTOL * rss0
+    rss = [rss0]
+    bias = None
+    if b is not None:
+        bscores = X.T @ b
+        bias = [float(b @ b)]
+    L = np.empty((max(min(k_max, m), 0), m))
+    drops = np.empty(m)
+    order = []
 
-    for _ in range(k_max):
-        drops = np.where(
-            active & (norms2 > RANK_RTOL * scale),
-            scores**2 / np.where(norms2 > 0, norms2, 1.0),
-            -np.inf,
-        )
-        j = int(np.argmax(drops))
-        if not np.isfinite(drops[j]) or drops[j] <= tol:
+    for k in range(len(L)):
+        np.square(scores, out=drops)
+        drops /= norms2
+        best = float(drops[drops.argmax()])
+        if not tol < best < math.inf:
             break
-        q = Z[:, j] / np.sqrt(norms2[j])
-        proj_r = float(q @ r)
-        r -= proj_r * q
-        cz = q @ Z
-        Z -= np.outer(q, cz)
-        norms2 = np.maximum(norms2 - cz * cz, 0.0)
-        scores = Z.T @ r
-        active[j] = False
+        # Drops within tol of the best are ties, so rounding noise cannot
+        # reorder duplicate columns: the lowest index enters.
+        j = int((drops >= best - tol).argmax())
+        drop = float(drops[j])
+        pivot = math.sqrt(norms2[j])
+        g = L[k]
+        np.subtract(G[j], L[:k, j] @ L[:k], out=g)
+        g /= pivot
+        scores -= g * (scores[j] / pivot)
+        norms2 -= g * g
+        norms2[j] = math.inf
+        norms2[norms2 <= floor] = math.inf
         order.append(j)
-        rss.append(max(rss[-1] - float(drops[j]), 0.0))
+        rss.append(max(rss[-1] - drop, 0.0))
         if bias is not None:
-            pb = float(q @ b)
+            pb = bscores[j] / pivot
+            bscores -= g * pb
             bias.append(max(bias[-1] - pb * pb, 0.0))
 
-    rss_arr = np.array(rss)
     bias_arr = np.array(bias) if bias is not None else None
-    return order, rss_arr, bias_arr
+    return order, np.array(rss), bias_arr
 
 
 def forward_path(

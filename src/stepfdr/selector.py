@@ -24,6 +24,7 @@ __all__ = [
     "select",
     "msfdr_iterative",
     "tsfdr_select",
+    "tsfdr_stage2_costs",
     "default_rule",
 ]
 
@@ -69,26 +70,33 @@ def penalized_trace(path: ForwardPath, spec: PenaltySpec, m: int) -> np.ndarray:
     return np.concatenate([[path.rss[0]], path.rss[1:] + path.sigma2 * np.cumsum(costs)])
 
 
-def stop(trace: np.ndarray, rule: str) -> int:
+def stop(trace: np.ndarray, rule: str) -> int | np.ndarray:
     """Model size chosen on a penalized trace by the given rule.
 
     Ties (equal consecutive trace values) count as continued descent,
     matching rejection at p-values exactly equal to their constants.
+    A 2-d trace holds one path per row, each padded with +inf past its
+    depth, and gives one model size per row.
     """
     trace = np.asarray(trace, dtype=float)
-    if trace.ndim != 1 or len(trace) < 1:
-        raise ValueError("trace must be a nonempty 1-d sequence")
-    K = len(trace) - 1
-    diffs = np.diff(trace)
+    if trace.ndim not in (1, 2) or trace.shape[-1] < 1:
+        raise ValueError("trace must be a nonempty 1-d sequence or a 2-d array of rows")
+    K = trace.shape[-1] - 1
+    prev, nxt = trace[..., :-1], trace[..., 1:]
+    end = np.ones(trace.shape[:-1] + (1,), dtype=bool)
     if rule == "first-local-min":
-        rising = np.flatnonzero(diffs > 0)
-        return int(rising[0]) if rising.size else K
-    if rule == "global-min":
-        return int(np.argmin(trace))
-    if rule == "last-crossing":
-        down = np.flatnonzero(diffs <= 0)
-        return int(down[-1]) + 1 if down.size else 0
-    raise ValueError(f"unknown stopping rule {rule!r}")
+        # First rise; the appended True stands for the end of the path.
+        k = np.concatenate([nxt > prev, end], axis=-1).argmax(axis=-1)
+    elif rule == "global-min":
+        k = trace.argmin(axis=-1)
+    elif rule == "last-crossing":
+        # Last step that does not rise (a step into the +inf padding
+        # rises); the prepended True stands for k = 0.
+        down = np.concatenate([end, (nxt <= prev) & (nxt < np.inf)], axis=-1)
+        k = K - down[..., ::-1].argmax(axis=-1)
+    else:
+        raise ValueError(f"unknown stopping rule {rule!r}")
+    return int(k) if trace.ndim == 1 else k
 
 
 def _finish(dataset, path, spec, rule, trace, k, iterations=None) -> SelectionResult:
@@ -196,7 +204,7 @@ def tsfdr_select(
         k = min(r1, path.depth)
         return _finish(dataset, path, spec_out, rule, trace1, k)
 
-    costs2 = _bh_like_costs(q1, m - r1, path.depth)
+    costs2 = tsfdr_stage2_costs(q1, m - r1, path.depth)
     trace2 = np.concatenate(
         [[path.rss[0]], path.rss[1:] + path.sigma2 * np.cumsum(costs2)]
     )
@@ -204,12 +212,13 @@ def tsfdr_select(
     return _finish(dataset, path, spec_out, rule, trace2, k)
 
 
-def _bh_like_costs(q: float, denom: int, k_max: int) -> np.ndarray:
+def tsfdr_stage2_costs(q1: float, denom: int, k_max: int) -> np.ndarray:
+    """Two-stage FDR stage-2 costs: squared z at alpha_k/2, alpha_k = k*q1/denom."""
     from .quantiles import inverse_normal_cdf
 
     out = np.empty(k_max)
     for k in range(1, k_max + 1):
-        alpha = min(k * q / denom, 1.0 - 1e-15)
+        alpha = min(k * q1 / denom, 1.0 - 1e-15)
         z = inverse_normal_cdf(1.0 - alpha / 2.0)
         out[k - 1] = z * z
     return out

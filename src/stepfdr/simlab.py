@@ -19,7 +19,7 @@ import numpy as np
 from .penalties import PenaltySpec, step_costs
 from .quantiles import RandomSource
 from .regress import forward_sweep
-from .selector import default_rule, stop
+from .selector import default_rule, stop, tsfdr_stage2_costs
 
 __all__ = [
     "P_FRACTIONS",
@@ -31,6 +31,7 @@ __all__ = [
     "solve_c_for_r2",
     "theoretical_mspe",
     "random_oracle",
+    "method_label",
     "run_config",
     "minimax_summary",
     "best_q_table",
@@ -223,17 +224,29 @@ def theoretical_mspe(
     return sigma2 * k + float(resid @ resid)
 
 
-def random_oracle(
-    prefix_mspe: np.ndarray,
-) -> Tuple[int, float]:
-    """Best prefix of a path given its per-prefix theoretical MSPE."""
-    k = int(np.argmin(prefix_mspe))
-    return k, float(prefix_mspe[k])
+def random_oracle(prefix_mspe: np.ndarray) -> tuple:
+    """Best prefix of a path given its per-prefix theoretical MSPE.
+
+    Returns ``(k, mspe)``; a 2-d array holds one path per row and gives
+    one ``k`` and one MSPE per row.
+    """
+    prefix_mspe = np.asarray(prefix_mspe, dtype=float)
+    k, best = prefix_mspe.argmin(axis=-1), prefix_mspe.min(axis=-1)
+    if prefix_mspe.ndim == 1:
+        return int(k), float(best)
+    return k, best
 
 
 def path_prefix_mspe(bias: np.ndarray, sigma2: float, intercept: bool = True) -> np.ndarray:
-    ks = np.arange(len(bias)) + (1 if intercept else 0)
+    ks = np.arange(np.shape(bias)[-1]) + (1 if intercept else 0)
     return sigma2 * ks + bias
+
+
+def method_label(spec: PenaltySpec, rule: Optional[str]) -> Tuple[str, str]:
+    """(effective rule, result label): a non-default rule is appended as "@rule"."""
+    eff = rule if rule is not None else default_rule(spec)
+    label = spec.label() if eff == default_rule(spec) else f"{spec.label()}@{eff}"
+    return eff, label
 
 
 def run_config(
@@ -255,68 +268,53 @@ def run_config(
                                               config.beta_type, config.p_index))
     sigma2 = config.sigma**2
     signal = X @ beta
-    m = config.m
+    m, reps = config.m, config.replications
 
-    resolved = []
-    for spec, rule in methods:
-        eff = rule if rule is not None else default_rule(spec)
-        label = spec.label() if eff == default_rule(spec) else f"{spec.label()}@{eff}"
-        resolved.append((spec, eff, label))
-
-    costs = {}
-    for spec, rule, label in resolved:
-        if spec.family == "tsfdr":
-            q1 = spec.q / (1.0 + spec.q)
-            costs[label] = step_costs(PenaltySpec("bh", q=q1), m, m)
-        else:
-            costs[label] = step_costs(spec, m, m)
-
-    oracle_vals = np.empty(config.replications)
-    method_vals = {label: np.empty(config.replications) for _, _, label in resolved}
-    violations = 0
-
-    for r in range(config.replications):
+    # One path per row; past a row's depth the prefix MSPE is +inf and
+    # ``past`` masks the trace.
+    rss = np.zeros((reps, m + 1))
+    bias = np.full((reps, m + 1), np.inf)
+    depth = np.empty(reps, dtype=int)
+    for r in range(reps):
         eps = root.substream(3, config.m, _rho_code(config.rho),
                              config.beta_type, config.p_index, r)
         y = config.beta0 + signal + config.sigma * eps.generator().standard_normal(config.n)
-        _, rss, bias = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
-        prefix = path_prefix_mspe(bias, sigma2, intercept=True)
-        _, oracle_vals[r] = random_oracle(prefix)
-        tsq = np.maximum(-np.diff(rss), 0.0) / sigma2
-        K = len(tsq)
-        for spec, rule, label in resolved:
-            c = costs[label][:K]
-            trace_diffs = sigma2 * (c - tsq)
-            trace = np.concatenate([[0.0], np.cumsum(trace_diffs)])
-            k = stop(trace, rule)
-            if spec.family == "tsfdr" and 0 < k < m:
-                q1 = spec.q / (1.0 + spec.q)
-                ks = np.arange(1, K + 1)
-                alpha2 = np.minimum(ks * q1 / (m - k), 1.0 - 1e-15)
-                c2 = _zsq_vec(alpha2 / 2.0)
-                trace2 = np.concatenate([[0.0], np.cumsum(sigma2 * (c2 - tsq))])
-                k = stop(trace2, rule)
-            method_vals[label][r] = prefix[min(k, K)]
-            if method_vals[label][r] < oracle_vals[r]:
-                violations += 1
+        _, rss_r, bias_r = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
+        depth[r] = K = len(rss_r) - 1
+        rss[r, :K + 1] = rss_r
+        bias[r, :K + 1] = bias_r
+    prefix = path_prefix_mspe(bias, sigma2, intercept=True)
+    _, oracle_vals = random_oracle(prefix)
+    tsq = np.maximum(-np.diff(rss, axis=1), 0.0) / sigma2
+    past = np.arange(m + 1) > depth[:, None]
 
-    x = oracle_vals
-    xbar = float(x.mean())
+    def chosen(costs, rule, rows=slice(None)):
+        """Model size per replication in ``rows`` on the trace of ``costs``."""
+        trace = np.zeros(past[rows].shape)
+        np.cumsum(sigma2 * (costs - tsq[rows]), axis=1, out=trace[:, 1:])
+        trace[past[rows]] = np.inf
+        return stop(trace, rule)
+
     outs = []
-    for _, _, label in resolved:
-        yv = method_vals[label]
-        ybar = float(yv.mean())
-        ratio = ybar / xbar
-        se = _ratio_se(yv, x, ratio)
-        outs.append(MethodOutcome(label, ybar, ratio, se))
-    return ConfigOutcome(config=config, oracle_mspe=xbar, methods=tuple(outs),
-                         dominance_violations=violations)
-
-
-def _zsq_vec(alpha_half: np.ndarray) -> np.ndarray:
-    from .quantiles import inverse_normal_cdf
-
-    return np.array([inverse_normal_cdf(1.0 - a) ** 2 for a in alpha_half])
+    violations = 0
+    for spec, rule in methods:
+        rule, label = method_label(spec, rule)
+        if spec.family == "tsfdr":
+            q1 = spec.q / (1.0 + spec.q)
+            r1 = chosen(step_costs(PenaltySpec("bh", q=q1), m, m), rule)
+            k = r1.copy()
+            for size in sorted(set(r1[(r1 > 0) & (r1 < m)].tolist())):
+                rows = r1 == size
+                k[rows] = chosen(tsfdr_stage2_costs(q1, m - size, m), rule, rows)
+        else:
+            k = chosen(step_costs(spec, m, m), rule)
+        yv = np.take_along_axis(prefix, k[:, None], axis=1)[:, 0]
+        violations += int((yv < oracle_vals).sum())
+        ratio = float(yv.mean()) / float(oracle_vals.mean())
+        outs.append(MethodOutcome(label, float(yv.mean()), ratio,
+                                  _ratio_se(yv, oracle_vals, ratio)))
+    return ConfigOutcome(config=config, oracle_mspe=float(oracle_vals.mean()),
+                         methods=tuple(outs), dominance_violations=violations)
 
 
 def _ratio_se(yv: np.ndarray, x: np.ndarray, ratio: float) -> float:

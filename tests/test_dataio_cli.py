@@ -36,6 +36,12 @@ class TestIngest:
         with pytest.raises(ValueError, match=r"row 2, column 'Y'"):
             ingest(f, response="Y")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        f = _write(tmp_path, "d.csv", f"a,b,Y\n1,2,3\n4,{cell},6\n7,8,9\n1,5,2\n")
+        with pytest.raises(ValueError, match=rf"non-finite cell at row 2, column 'b': '{cell}'"):
+            ingest(f, response="Y")
+
     def test_ragged_row(self, tmp_path):
         f = _write(tmp_path, "d.csv", "a,Y\n1,2\n3\n5,6\n")
         with pytest.raises(ValueError, match="row 2 has 1 cells"):
@@ -126,6 +132,38 @@ class TestOutcomeRoundTrip:
         assert back.methods == out.methods
         assert back.dominance_violations == out.dominance_violations
 
+    def test_every_config_field_round_trips(self, tmp_path):
+        cfg = SimConfig(m=6, rho=-0.3, beta_type=1, p_index=2, replications=5,
+                        seed=11, sigma=0.7, beta0=-2.5, c_scale=1.25, effect_target=4.5)
+        out = run_config(cfg, [(PenaltySpec("aic"), None)])
+        assert read_outcome(write_outcome(out, tmp_path)).config == cfg
+
+    def test_file_lacking_a_field_is_rejected(self, tmp_path):
+        cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
+        path = write_outcome(run_config(cfg, [(PenaltySpec("aic"), None)]), tmp_path)
+        lines = [ln for ln in path.read_text().splitlines()
+                 if not ln.startswith("# effect_target")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="lacks effect_target"):
+            read_outcome(path)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
+        first = run_config(cfg, [(PenaltySpec("aic"), None)])
+        path = write_outcome(first, tmp_path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("stepfdr.cli.os.replace", crash)
+        second = run_config(SimConfig(m=6, rho=0.0, beta_type=1, p_index=2,
+                                      replications=7), [(PenaltySpec("aic"), None)])
+        with pytest.raises(OSError, match="disk full"):
+            write_outcome(second, tmp_path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 class TestCli:
     def test_select_diabetes_main(self, capsys):
@@ -185,6 +223,43 @@ class TestCli:
         text = capsys.readouterr().out
         assert rc == 0
         assert "msfdr:0.05" in text and "aic" in text
+
+    def test_simulate_reruns_a_cell_from_another_campaign(self, capsys, tmp_path):
+        one_cell = "m = 8\nrho = 0\nbeta_type = 1\np_index = 1\n"
+        first = _write(tmp_path, "a.txt",
+                       one_cell + "seed = 0\nreplications = 20\nmethods = msfdr:0.05\n")
+        second = _write(tmp_path, "b.txt",
+                        one_cell + "seed = 7\nreplications = 50\nmethods = aic\n")
+        out_dir = tmp_path / "out"
+        args = ["--out", str(out_dir), "--workers", "1"]
+        assert main(["simulate", "--config", str(first)] + args) == 0
+        capsys.readouterr()
+
+        assert main(["simulate", "--config", str(second)] + args) == 0
+        text = capsys.readouterr().out
+        assert "rerun m8_rho+0.00_b1_p1: result file holds a different configuration" in text
+        assert "1 configuration(s) run, 0 skipped" in text
+        (path,) = out_dir.glob("*.tsv")
+        back = read_outcome(path)
+        assert (back.config.seed, back.config.replications) == (7, 50)
+        assert [mo.label for mo in back.methods] == ["aic"]
+
+    def test_simulate_reruns_a_cell_with_other_methods(self, capsys, tmp_path):
+        cells = "seed = 3\nreplications = 20\nm = 8\nrho = 0\nbeta_type = 1\np_index = 1\n"
+        first = _write(tmp_path, "a.txt", cells + "methods = msfdr:0.05\n")
+        second = _write(tmp_path, "b.txt", cells + "methods = msfdr:0.05@global-min\n")
+        args = ["--out", str(tmp_path / "out"), "--workers", "1"]
+        assert main(["simulate", "--config", str(first)] + args) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(second)] + args) == 0
+        assert "result file holds a different method list" in capsys.readouterr().out
+
+    def test_select_rejects_non_finite_data(self, tmp_path, capsys):
+        f = _write(tmp_path, "d.csv", "a,b,Y\n1,2,3\n4,5,6\n7,inf,9\n1,5,2\n3,3,1\n")
+        rc = main(["select", "--data", str(f), "--response", "Y", "--method", "aic",
+                   "--sigma2", "known:1"])
+        assert rc == 1
+        assert "non-finite cell at row 3, column 'b'" in capsys.readouterr().err
 
     def test_summarize_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

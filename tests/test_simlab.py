@@ -186,6 +186,53 @@ class TestRunConfig:
         out = run_config(cfg, [(PenaltySpec("msfdr", q=0.05), "global-min")])
         assert out.methods[0].label == "msfdr:0.05@global-min"
 
+    def test_matches_per_replication_loop(self):
+        # Reference: each replication's path scored method by method with
+        # the 1-d stopping rule, the way the lab did before it scored all
+        # replications of a cell at once.
+        from stepfdr.penalties import step_costs
+        from stepfdr.quantiles import inverse_normal_cdf
+        from stepfdr.regress import forward_sweep
+        from stepfdr.selector import default_rule, stop
+        from stepfdr.simlab import _rho_code
+
+        cfg = SimConfig(m=10, rho=0.5, beta_type=2, p_index=4, replications=60, seed=4)
+        methods = METHODS + [(PenaltySpec("bh", q=0.2), None),
+                             (PenaltySpec("tsfdr", q=0.2), None),
+                             (PenaltySpec("tsfdr", q=0.2), "global-min")]
+        root = RandomSource(cfg.seed)
+        key = (cfg.m, _rho_code(cfg.rho))
+        X = gen_design(cfg.m, cfg.n, cfg.rho, root.substream(1, *key))
+        beta = gen_beta(cfg, X, root.substream(2, *key, cfg.beta_type, cfg.p_index))
+        signal = X @ beta
+        m = cfg.m
+        oracle, picked = [], {i: [] for i in range(len(methods))}
+        for r in range(cfg.replications):
+            eps = root.substream(3, *key, cfg.beta_type, cfg.p_index, r).generator()
+            y = cfg.beta0 + signal + eps.standard_normal(cfg.n)
+            _, rss, bias = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
+            prefix = path_prefix_mspe(bias, 1.0)
+            oracle.append(prefix.min())
+            tsq = np.maximum(-np.diff(rss), 0.0)
+            K = len(tsq)
+            for i, (spec, rule) in enumerate(methods):
+                rule = rule or default_rule(spec)
+                q1 = spec.q / (1.0 + spec.q) if spec.family == "tsfdr" else None
+                first = PenaltySpec("bh", q=q1) if q1 else spec
+                trace = np.concatenate([[0.0], np.cumsum(step_costs(first, m, m)[:K] - tsq)])
+                k = stop(trace, rule)
+                if q1 and 0 < k < m:
+                    c2 = [inverse_normal_cdf(1.0 - min(j * q1 / (m - k), 1.0 - 1e-15) / 2.0) ** 2
+                          for j in range(1, K + 1)]
+                    k = stop(np.concatenate([[0.0], np.cumsum(c2 - tsq)]), rule)
+                picked[i].append(prefix[k])
+        out = run_config(cfg, methods)
+        assert out.oracle_mspe == pytest.approx(np.mean(oracle), rel=1e-12)
+        for i, mo in enumerate(out.methods):
+            assert mo.mean_mspe == pytest.approx(np.mean(picked[i]), rel=1e-12)
+            assert mo.relative_loss == pytest.approx(np.mean(picked[i]) / np.mean(oracle),
+                                                     rel=1e-12)
+
     def test_loss_lookup(self):
         cfg = SimConfig(m=8, rho=0.0, beta_type=1, p_index=4,
                         replications=20, seed=9)
