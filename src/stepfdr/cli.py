@@ -66,7 +66,7 @@ def _cmd_select(args) -> int:
                 include_interactions=not args.no_interactions,
             ),
         )
-    spec, rule = parse_method(args.method_token())
+    spec, rule = parse_method(_method_token(args))
     sigma2 = None
     if args.sigma2 and args.sigma2 != "full-model":
         if not args.sigma2.startswith("known:"):
@@ -109,7 +109,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_penalty_table(args) -> int:
-    spec, _ = parse_method(args.method_token())
+    spec, _ = parse_method(_method_token(args))
     table = penalty_table(spec, args.m, args.kmax)
     out = ["family\tm\tk\talpha_k\tlambda_k\tstep_cost_k"]
     for i in range(table.k_max):
@@ -315,11 +315,16 @@ def _cmd_summarize(args) -> int:
     if not files:
         raise ValueError(f"no campaign output files found in {in_dir}")
     outcomes = [read_outcome(f) for f in files]
+    labels = [mo.label for mo in outcomes[0].methods]
+    for f, o in zip(files, outcomes):
+        other = [mo.label for mo in o.methods]
+        if other != labels:
+            raise ValueError(f"{f} holds methods {', '.join(other)}; "
+                             f"{files[0]} holds {', '.join(labels)}")
     worst_k = args.worst_k if args.worst_k == "ALL" else int(args.worst_k)
 
     ms = sorted({o.config.m for o in outcomes})
     pairs = sorted({(o.config.m, o.config.rho) for o in outcomes})
-    labels = [mo.label for mo in outcomes[0].methods]
     by_m = [minimax_summary([o for o in outcomes if o.config.m == m], worst_k) for m in ms]
     by_pair = [minimax_summary([o for o in outcomes if (o.config.m, o.config.rho) == pair],
                                worst_k) for pair in pairs]
@@ -423,7 +428,6 @@ def _method_token(args) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    args.method_token = lambda: _method_token(args)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -1,9 +1,9 @@
 """The ten penalty families.
 
-Each family defines a per-parameter penalty factor lambda(k, m); the
-marginal cost of the k-th entry is c_k = k*lambda_k - (k-1)*lambda_{k-1}.
-For the FDR families c_k is the squared normal quantile at half the
-step constant alpha_k.
+Each family defines the marginal cost c_k of the k-th entry; the
+per-parameter penalty factor lambda_k is the mean of c_1..c_k, so
+c_k = k*lambda_k - (k-1)*lambda_{k-1}.  For the FDR families c_k is the
+squared normal quantile at half the step constant alpha_k.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ __all__ = [
     "penalty_factor",
     "penalty_table",
 ]
-
-# Families whose lambda is the running average of per-step costs derived
-# from an explicit formula (rather than the other way round).
-_CUMULATIVE = {"bh", "msfdr", "fs", "tk", "gf"}
 
 FAMILIES = ("bh", "msfdr", "tsfdr", "fixed-alpha", "aic", "dj", "fs", "tk", "bm", "gf")
 
@@ -88,89 +84,88 @@ class PenaltySpec:
             return f"{self.family}:{self.q:g}"
         if self.family == "fixed-alpha":
             return f"fixed-alpha:{self.p:g}"
+        if self.family == "bm" and self.c_bm != DEFAULT_BM_CONSTANT:
+            return f"bm:{self.c_bm:g}"
         return self.family
 
 
 def step_alpha(spec: PenaltySpec, i: int, m: int) -> float:
     """Step constant alpha_i for the FDR-type families."""
-    if spec.family not in ("bh", "msfdr", "fixed-alpha"):
-        raise UnsupportedFamilyError(
-            f"step constants are not defined for family {spec.family!r}"
-        )
     if not 1 <= i <= m:
         raise ValueError(f"step index must lie in [1, {m}], got {i}")
+    return float(_alphas(spec, m, i)[i - 1])
+
+
+def _alphas(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
+    """Step constants alpha_1..alpha_{k_max}.
+
+    BH constants run past k = m (up to just below 1): the two-stage
+    procedure's second stage applies them over the whole path with the
+    pool shrunk to m - r1.
+    """
+    k = np.arange(1.0, k_max + 1)
     if spec.family == "bh":
-        return i * spec.q / m
+        return np.minimum(k * spec.q / m, 1.0 - 1e-15)
     if spec.family == "msfdr":
-        return i * spec.q / (m + 1 - i * (1.0 - spec.q))
-    return spec.p
+        return k * spec.q / (m + 1 - k * (1.0 - spec.q))
+    if spec.family == "fixed-alpha":
+        return np.full(k_max, spec.p)
+    raise UnsupportedFamilyError(
+        f"step constants are not defined for family {spec.family!r}"
+    )
 
 
-def _zsq(alpha_half: float) -> float:
-    z = inverse_normal_cdf(1.0 - alpha_half)
-    return z * z
+def step_costs(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
+    """Marginal costs c_1..c_{k_max} of entering the k-th variable.
+
+    For the FDR families c_k is the squared normal quantile at
+    alpha_k / 2, the p-to-enter test written as a penalty.  ``k_max``
+    lies in [1, m], except for bh (see ``_alphas``).
+    """
+    if k_max < 1 or (k_max > m and spec.family != "bh"):
+        raise ValueError(f"k_max must lie in [1, {m}], got {k_max}")
+    fam = spec.family
+    k = np.arange(1.0, k_max + 1)
+    if fam in ("bh", "msfdr", "fixed-alpha"):
+        alpha = _alphas(spec, m, k_max)
+        half = alpha / 2.0
+        if fam == "msfdr" and spec.cap is not None:
+            if spec.cap_mode == "pvalue":
+                half = np.minimum(alpha, spec.cap) / 2.0
+            else:
+                half = np.minimum(half, spec.cap)
+        z = inverse_normal_cdf(1.0 - half)
+        return z * z
+    if fam == "aic":
+        return np.full(k_max, 2.0)
+    if fam == "dj":
+        return np.full(k_max, 2.0 * math.log(m))
+    if fam == "fs":
+        return 2.0 * np.log(m / k)
+    if fam == "tk":
+        return 2.0 * 2.0 * np.log(m / k)
+    if fam == "bm":
+        # differences of k * 2*log(C*m/k)
+        return np.diff(k * 2.0 * np.log(spec.c_bm * m / k), prepend=0.0)
+    if fam == "gf":
+        return 2.0 * np.log((m + 1 - k) / k)
+    raise UnsupportedFamilyError(
+        f"family {spec.family!r} has no standalone penalty (two-stage composition)"
+    )
 
 
 def step_cost(spec: PenaltySpec, k: int, m: int) -> float:
     """Marginal penalty c_k of entering the k-th variable."""
     if not 1 <= k <= m:
         raise ValueError(f"model size must lie in [1, {m}], got {k}")
-    fam = spec.family
-    if fam in ("bh", "msfdr"):
-        a = step_alpha(spec, k, m)
-        if fam == "msfdr" and spec.cap is not None:
-            if spec.cap_mode == "pvalue":
-                sub = min(a, spec.cap) / 2.0
-            else:
-                sub = min(a / 2.0, spec.cap)
-        else:
-            sub = a / 2.0
-        return _zsq(sub)
-    if fam == "fixed-alpha":
-        return _zsq(spec.p / 2.0)
-    if fam == "aic":
-        return 2.0
-    if fam == "dj":
-        return 2.0 * math.log(m)
-    if fam == "fs":
-        return 2.0 * math.log(m / k)
-    if fam == "tk":
-        return 2.0 * 2.0 * math.log(m / k)
-    if fam == "bm":
-        # difference of k * 2*log(C*m/k)
-        def klam(j):
-            return 0.0 if j == 0 else j * 2.0 * math.log(spec.c_bm * m / j)
-
-        return klam(k) - klam(k - 1)
-    if fam == "gf":
-        return 2.0 * math.log((m + 1 - k) / k)
-    raise UnsupportedFamilyError(
-        f"family {spec.family!r} has no standalone penalty (two-stage composition)"
-    )
-
-
-def step_costs(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
-    """Vector of marginal costs c_1..c_{k_max}."""
-    if not 1 <= k_max <= m:
-        raise ValueError(f"k_max must lie in [1, {m}]")
-    return np.array([step_cost(spec, k, m) for k in range(1, k_max + 1)])
+    return float(step_costs(spec, m, k)[k - 1])
 
 
 def penalty_factor(spec: PenaltySpec, k: int, m: int) -> float:
-    """Per-parameter penalty factor lambda_{k,m}."""
+    """Per-parameter penalty factor lambda_{k,m}, the mean of c_1..c_k."""
     if not 1 <= k <= m:
         raise ValueError(f"model size must lie in [1, {m}], got {k}")
-    fam = spec.family
-    if fam == "fixed-alpha":
-        return _zsq(spec.p / 2.0)
-    if fam == "aic":
-        return 2.0
-    if fam == "dj":
-        return 2.0 * math.log(m)
-    if fam == "bm":
-        return 2.0 * math.log(spec.c_bm * m / k)
-    # cumulative-average families: mean of step costs
-    return float(np.mean([step_cost(spec, i, m) for i in range(1, k + 1)]))
+    return float(step_costs(spec, m, k).mean())
 
 
 @dataclass(frozen=True)
@@ -196,8 +191,12 @@ def penalty_table(spec: PenaltySpec, m: int, k_max: Optional[int] = None) -> Pen
     if not 1 <= k_max <= m:
         raise ValueError(f"k_max must lie in [1, {m}]")
     if spec.family in ("bh", "msfdr", "fixed-alpha"):
-        alpha = np.array([step_alpha(spec, i, m) for i in range(1, k_max + 1)])
+        alpha = _alphas(spec, m, k_max)
     else:
         alpha = np.full(k_max, np.nan)
-    lam = np.array([penalty_factor(spec, k, m) for k in range(1, k_max + 1)])
+    # lambda_k is the mean of each prefix: cumsum(c) / k rounds
+    # differently, and the cost column (differences of k * lambda_k)
+    # shows that at about 1e-11 relative for large m.
+    costs = step_costs(spec, m, k_max)
+    lam = np.array([costs[:k].mean() for k in range(1, k_max + 1)])
     return PenaltyTable(spec=spec, m=m, k_max=k_max, alpha=alpha, lam=lam)

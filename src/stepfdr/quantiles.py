@@ -87,36 +87,43 @@ _F = (
 )
 
 
-def _poly(coeffs, x: float) -> float:
+def _poly(coeffs, x):
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def inverse_normal_cdf(p: float) -> float:
+def inverse_normal_cdf(p):
     """Return z such that the standard normal CDF at z equals ``p``.
+
+    ``p`` is a float or an array; a float gives a float.  Each element
+    gets exactly the arithmetic of its own PPND16 region.
 
     Raises
     ------
     ValueError
-        If ``p`` is not strictly inside (0, 1).
+        If any ``p`` is not strictly inside (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in the open interval (0, 1), got {p!r}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_A, r) / _poly(_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        z = _poly(_C, r) / _poly(_D, r)
-    else:
-        r -= 5.0
-        z = _poly(_E, r) / _poly(_F, r)
-    return -z if q < 0.0 else z
+    pa = np.asarray(p, dtype=float)
+    inside = (pa > 0.0) & (pa < 1.0)
+    if not inside.all():
+        bad = float(pa[~inside].flat[0])
+        raise ValueError(f"probability must lie in the open interval (0, 1), got {bad!r}")
+    q = pa - 0.5
+    central = np.abs(q) <= 0.425
+    s = np.sqrt(-np.log(np.where(q < 0.0, pa, 1.0 - pa)))
+    sign = np.where(q < 0.0, -1.0, 1.0)
+    z = np.empty_like(q)
+    for rows, lead, x, num, den in (
+        (central, q, 0.180625 - q * q, _A, _B),
+        (~central & (s <= 5.0), sign, s - 1.6, _C, _D),
+        (~central & (s > 5.0), sign, s - 5.0, _E, _F),
+    ):
+        if rows.any():  # most calls hit one region; skip the others' work
+            x = x[rows]
+            z[rows] = lead[rows] * _poly(num, x) / _poly(den, x)
+    return float(z) if pa.ndim == 0 else z
 
 
 def normal_cdf(z: float) -> float:

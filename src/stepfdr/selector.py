@@ -21,10 +21,10 @@ __all__ = [
     "SelectionResult",
     "penalized_trace",
     "stop",
+    "choose_size",
     "select",
     "msfdr_iterative",
     "tsfdr_select",
-    "tsfdr_stage2_costs",
     "default_rule",
 ]
 
@@ -63,11 +63,7 @@ class SelectionResult:
 
 def penalized_trace(path: ForwardPath, spec: PenaltySpec, m: int) -> np.ndarray:
     """trace(k) = RSS_k + sigma2 * k * lambda_{k,m} for k = 0..K."""
-    K = path.depth
-    if K == 0:
-        return path.rss[:1].copy()
-    costs = step_costs(spec, m, K)
-    return np.concatenate([[path.rss[0]], path.rss[1:] + path.sigma2 * np.cumsum(costs)])
+    return choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))[0]
 
 
 def stop(trace: np.ndarray, rule: str) -> int | np.ndarray:
@@ -99,6 +95,39 @@ def stop(trace: np.ndarray, rule: str) -> int | np.ndarray:
     return int(k) if trace.ndim == 1 else k
 
 
+def choose_size(rss: np.ndarray, sigma2: float, spec: PenaltySpec, m: int, rule: str):
+    """Penalized trace and the model size its stopping rule picks.
+
+    ``rss`` is RSS_0..RSS_K of one path, or one path per row padded
+    with +inf past its depth; trace(k) = RSS_k + sigma2 * (c_1 + ... +
+    c_k).  Returns ``(trace, k)``, with one k per row for 2-d input.
+
+    Two-stage FDR: stage 1 is BH at q' = q/(1+q).  A path whose stage-1
+    size r1 is neither 0 nor m is rescanned with the stage-2 constants
+    k*q'/(m - r1), and its trace is the stage-2 trace.
+    """
+    rss = np.asarray(rss, dtype=float)
+    paths = np.atleast_2d(rss)
+    K = paths.shape[1] - 1
+    stage = PenaltySpec("bh", q=spec.q / (1.0 + spec.q)) if spec.family == "tsfdr" else spec
+
+    def penalized(rows, pool):
+        trace = paths[rows].copy()
+        if K:
+            trace[:, 1:] += sigma2 * np.cumsum(step_costs(stage, pool, K))
+        return trace
+
+    trace = penalized(slice(None), m)
+    k = stop(trace, rule)
+    if spec.family == "tsfdr":
+        r1 = k.copy()
+        for size in sorted(set(r1[(r1 > 0) & (r1 < m)].tolist())):
+            rows = r1 == size
+            trace[rows] = penalized(rows, m - size)
+            k[rows] = stop(trace[rows], rule)
+    return (trace[0], int(k[0])) if rss.ndim == 1 else (trace, k)
+
+
 def _finish(dataset, path, spec, rule, trace, k, iterations=None) -> SelectionResult:
     selected = path.entered[:k]
     coef, _ = least_squares(dataset, selected)
@@ -124,14 +153,11 @@ def select(
     path: Optional[ForwardPath] = None,
 ) -> SelectionResult:
     """Forward path -> penalized trace -> stopping rule -> refit."""
-    if spec.family == "tsfdr":
-        return tsfdr_select(dataset, spec.q, rule=rule, sigma2=sigma2, path=path)
     if rule is None:
         rule = default_rule(spec)
     if path is None:
         path = forward_path(dataset, sigma2=sigma2)
-    trace = penalized_trace(path, spec, dataset.m)
-    k = stop(trace, rule)
+    trace, k = choose_size(path.rss, path.sigma2, spec, dataset.m, rule)
     return _finish(dataset, path, spec, rule, trace, k)
 
 
@@ -183,42 +209,5 @@ def tsfdr_select(
     sigma2: Optional[float] = None,
     path: Optional[ForwardPath] = None,
 ) -> SelectionResult:
-    """Two-stage FDR composition.
-
-    Stage 1 applies the BH penalty at q' = q/(1+q).  If it selects
-    nothing or everything that is the answer; otherwise stage 2 rescans
-    the same path with constants alpha_i = i*q'/(m - r1).
-    """
-    if rule is None:
-        rule = "first-local-min"
-    if path is None:
-        path = forward_path(dataset, sigma2=sigma2)
-    m = dataset.m
-    q1 = q / (1.0 + q)
-    spec_out = PenaltySpec("tsfdr", q=q)
-
-    stage1 = PenaltySpec("bh", q=q1)
-    trace1 = penalized_trace(path, stage1, m)
-    r1 = stop(trace1, rule)
-    if r1 == 0 or r1 >= m:
-        k = min(r1, path.depth)
-        return _finish(dataset, path, spec_out, rule, trace1, k)
-
-    costs2 = tsfdr_stage2_costs(q1, m - r1, path.depth)
-    trace2 = np.concatenate(
-        [[path.rss[0]], path.rss[1:] + path.sigma2 * np.cumsum(costs2)]
-    )
-    k = stop(trace2, rule)
-    return _finish(dataset, path, spec_out, rule, trace2, k)
-
-
-def tsfdr_stage2_costs(q1: float, denom: int, k_max: int) -> np.ndarray:
-    """Two-stage FDR stage-2 costs: squared z at alpha_k/2, alpha_k = k*q1/denom."""
-    from .quantiles import inverse_normal_cdf
-
-    out = np.empty(k_max)
-    for k in range(1, k_max + 1):
-        alpha = min(k * q1 / denom, 1.0 - 1e-15)
-        z = inverse_normal_cdf(1.0 - alpha / 2.0)
-        out[k - 1] = z * z
-    return out
+    """Two-stage FDR composition (see ``choose_size``)."""
+    return select(dataset, PenaltySpec("tsfdr", q=q), rule=rule, sigma2=sigma2, path=path)

@@ -16,10 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .penalties import PenaltySpec, step_costs
+from .penalties import PenaltySpec
 from .quantiles import RandomSource
 from .regress import forward_sweep
-from .selector import default_rule, stop, tsfdr_stage2_costs
+from .selector import choose_size, default_rule
 
 __all__ = [
     "P_FRACTIONS",
@@ -208,15 +208,11 @@ def theoretical_mspe(
     subset = list(subset)
     rest = sorted(set(range(X.shape[1])) - set(subset))
     b2 = X[:, rest] @ beta[rest] if rest else np.zeros(X.shape[0])
-    cols = []
-    if intercept:
-        cols.append(np.ones(X.shape[0]))
-    if subset:
-        cols.append(X[:, subset])
-    k = len(subset) + (1 if intercept else 0)
+    cols = ([np.ones(X.shape[0])] if intercept else []) + [X[:, j] for j in subset]
+    k = len(cols)
     if not cols:
         return sigma2 * k + float(b2 @ b2)
-    A = np.column_stack(cols) if len(cols) > 1 else np.atleast_2d(cols[0]).T if cols[0].ndim == 1 else cols[0]
+    A = np.column_stack(cols)
     coef, _, rank, _ = np.linalg.lstsq(A, b2, rcond=None)
     if rank < A.shape[1]:
         raise np.linalg.LinAlgError("selected columns are rank deficient")
@@ -270,44 +266,24 @@ def run_config(
     signal = X @ beta
     m, reps = config.m, config.replications
 
-    # One path per row; past a row's depth the prefix MSPE is +inf and
-    # ``past`` masks the trace.
-    rss = np.zeros((reps, m + 1))
+    # One path per row, padded with +inf past its depth.
+    rss = np.full((reps, m + 1), np.inf)
     bias = np.full((reps, m + 1), np.inf)
-    depth = np.empty(reps, dtype=int)
     for r in range(reps):
         eps = root.substream(3, config.m, _rho_code(config.rho),
                              config.beta_type, config.p_index, r)
         y = config.beta0 + signal + config.sigma * eps.generator().standard_normal(config.n)
         _, rss_r, bias_r = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
-        depth[r] = K = len(rss_r) - 1
-        rss[r, :K + 1] = rss_r
-        bias[r, :K + 1] = bias_r
+        rss[r, :len(rss_r)] = rss_r
+        bias[r, :len(bias_r)] = bias_r
     prefix = path_prefix_mspe(bias, sigma2, intercept=True)
     _, oracle_vals = random_oracle(prefix)
-    tsq = np.maximum(-np.diff(rss, axis=1), 0.0) / sigma2
-    past = np.arange(m + 1) > depth[:, None]
-
-    def chosen(costs, rule, rows=slice(None)):
-        """Model size per replication in ``rows`` on the trace of ``costs``."""
-        trace = np.zeros(past[rows].shape)
-        np.cumsum(sigma2 * (costs - tsq[rows]), axis=1, out=trace[:, 1:])
-        trace[past[rows]] = np.inf
-        return stop(trace, rule)
 
     outs = []
     violations = 0
     for spec, rule in methods:
         rule, label = method_label(spec, rule)
-        if spec.family == "tsfdr":
-            q1 = spec.q / (1.0 + spec.q)
-            r1 = chosen(step_costs(PenaltySpec("bh", q=q1), m, m), rule)
-            k = r1.copy()
-            for size in sorted(set(r1[(r1 > 0) & (r1 < m)].tolist())):
-                rows = r1 == size
-                k[rows] = chosen(tsfdr_stage2_costs(q1, m - size, m), rule, rows)
-        else:
-            k = chosen(step_costs(spec, m, m), rule)
+        _, k = choose_size(rss, sigma2, spec, m, rule)
         yv = np.take_along_axis(prefix, k[:, None], axis=1)[:, 0]
         violations += int((yv < oracle_vals).sum())
         ratio = float(yv.mean()) / float(oracle_vals.mean())

@@ -254,6 +254,39 @@ class TestCli:
         assert main(["simulate", "--config", str(second)] + args) == 0
         assert "result file holds a different method list" in capsys.readouterr().out
 
+    def test_simulate_reruns_a_cell_with_another_bm_constant(self, capsys, tmp_path):
+        cells = "seed = 3\nreplications = 20\nm = 8\nrho = 0\nbeta_type = 1\np_index = 1\n"
+        first = _write(tmp_path, "a.txt", cells + "methods = bm\n")
+        second = _write(tmp_path, "b.txt", cells + "methods = bm:5\n")
+        args = ["--out", str(tmp_path / "out"), "--workers", "1"]
+        assert main(["simulate", "--config", str(first)] + args) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(second)] + args) == 0
+        text = capsys.readouterr().out
+        assert "result file holds a different method list" in text
+        assert "1 configuration(s) run, 0 skipped" in text
+        (path,) = (tmp_path / "out").glob("*.tsv")
+        got = read_outcome(path).methods[0]
+        cfg = SimConfig(m=8, rho=0.0, beta_type=1, p_index=1, replications=20, seed=3)
+        want = run_config(cfg, [(PenaltySpec("bm", c_bm=5.0), None)]).methods[0]
+        assert got.label == "bm:5"
+        assert got.relative_loss == want.relative_loss
+
+    def test_summarize_rejects_mixed_method_sets(self, capsys, tmp_path):
+        cells = "seed = 3\nreplications = 20\nm = 8\nrho = 0\nbeta_type = 1\n"
+        first = _write(tmp_path, "a.txt", cells + "p_index = 1\nmethods = msfdr:0.05,bm\n")
+        second = _write(tmp_path, "b.txt", cells + "p_index = 2\nmethods = aic\n")
+        out_dir = tmp_path / "out"
+        args = ["--out", str(out_dir), "--workers", "1"]
+        assert main(["simulate", "--config", str(first)] + args) == 0
+        assert main(["simulate", "--config", str(second)] + args) == 0
+        capsys.readouterr()
+        rc = main(["summarize", "--in", str(out_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "m8_rho+0.00_b1_p2.tsv holds methods aic;" in err
+        assert "m8_rho+0.00_b1_p1.tsv holds msfdr:0.05, bm" in err
+
     def test_select_rejects_non_finite_data(self, tmp_path, capsys):
         f = _write(tmp_path, "d.csv", "a,b,Y\n1,2,3\n4,5,6\n7,inf,9\n1,5,2\n3,3,1\n")
         rc = main(["select", "--data", str(f), "--response", "Y", "--method", "aic",

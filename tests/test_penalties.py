@@ -61,6 +61,8 @@ class TestPenaltySpec:
         assert PenaltySpec("msfdr", q=0.05).label() == "msfdr:0.05"
         assert PenaltySpec("fixed-alpha", p=0.1).label() == "fixed-alpha:0.1"
         assert PenaltySpec("tk").label() == "tk"
+        assert PenaltySpec("bm").label() == "bm"
+        assert PenaltySpec("bm", c_bm=5.0).label() == "bm:5"
 
 
 class TestStepAlpha:

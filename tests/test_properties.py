@@ -3,8 +3,11 @@
 The covariance-form forward sweep is checked against exact least-squares
 refits on ill-conditioned pools, pools with n = m + 2, duplicate columns
 and exact zero drops; the 2-d stopping rules against the 1-d rule row by
-row (and both against a difference-based reference); and the diabetes full-depth entry orders against the orders the
-residual-matrix (Gram-Schmidt) sweep produced.
+row (and both against a difference-based reference); the diabetes
+full-depth entry orders against the orders the residual-matrix
+(Gram-Schmidt) sweep produced; the array quantile function against
+its scalar form; the penalty algebra of every family; and the batched
+trace-to-size function against one call per path.
 """
 
 import numpy as np
@@ -12,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_cost, step_costs
+from stepfdr.quantiles import inverse_normal_cdf
 from stepfdr.regress import Dataset, forward_path, forward_sweep, least_squares
-from stepfdr.selector import RULES, stop
+from stepfdr.selector import RULES, choose_size, stop
 
 EPS = np.finfo(float).eps
 
@@ -183,3 +188,76 @@ def test_diabetes_full_depth_orders(pool, expected, diabetes_main, diabetes_quad
     for k in range(path.depth + 1):
         _, exact = least_squares(ds, path.entered[:k])
         assert path.rss[k] == pytest.approx(exact, rel=1e-9)
+
+
+# PPND16 regions: central |p - 0.5| <= 0.425, intermediate down to
+# p ~ 1.4e-11 (r <= 5), far tail beyond; each side of 0.5.
+_REGIONS = [(0.075, 0.925), (1.4e-11, 0.075), (1e-300, 1.4e-11),
+            (0.925, 1.0 - 1e-15)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_array_quantile_matches_elementwise(data):
+    ps = []
+    for lo, hi in _REGIONS:
+        if lo < 1e-200:  # log-uniform so the far tail is actually reached
+            ps += [10.0 ** e for e in data.draw(st.lists(
+                st.floats(-300.0, np.log10(hi)), min_size=1, max_size=4))]
+        else:
+            ps += data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=4))
+    ps = np.array(ps)
+    got = inverse_normal_cdf(ps)
+    assert got.shape == ps.shape
+    assert got.tolist() == [inverse_normal_cdf(float(p)) for p in ps]
+    assert inverse_normal_cdf(ps[:, None])[:, 0].tolist() == got.tolist()
+
+
+def _family_spec(family, level):
+    if family in ("bh", "msfdr"):
+        return PenaltySpec(family, q=level)
+    if family == "fixed-alpha":
+        return PenaltySpec(family, p=level)
+    if family == "bm":
+        return PenaltySpec(family, c_bm=1.0 + 1000.0 * level)
+    return PenaltySpec(family)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family=st.sampled_from([f for f in FAMILIES if f != "tsfdr"]),
+       level=st.floats(0.001, 0.45), m=st.integers(1, 200))
+def test_penalty_algebra(family, level, m):
+    spec = _family_spec(family, level)
+    costs = step_costs(spec, m, m)
+    table = penalty_table(spec, m)
+    klam = np.arange(1, m + 1) * table.lam
+    assert np.diff(klam, prepend=0.0) == pytest.approx(costs, rel=1e-9, abs=1e-9)
+    for k in {1, (m + 1) // 2, m}:
+        assert step_cost(spec, k, m) == costs[k - 1]
+        assert step_costs(spec, m, k).tolist() == costs[:k].tolist()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 8), nrows=st.integers(1, 12),
+       rule=st.sampled_from(RULES),
+       spec=st.sampled_from([PenaltySpec("msfdr", q=0.3), PenaltySpec("bh", q=0.4),
+                             PenaltySpec("tsfdr", q=0.4), PenaltySpec("tsfdr", q=0.05),
+                             PenaltySpec("aic"), PenaltySpec("gf")]))
+def test_batched_size_matches_one_path_at_a_time(data, m, nrows, rule, spec):
+    # Decreasing RSS paths of random depth whose drops (in units of
+    # sigma2) straddle the step costs, padded with +inf past their depth.
+    sigma2 = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    rows = np.full((nrows, m + 1), np.inf)
+    depths = []
+    for i in range(nrows):
+        depth = data.draw(st.integers(0, m))
+        drops = data.draw(st.lists(st.floats(0.0, 8.0), min_size=depth, max_size=depth))
+        rows[i, : depth + 1] = 100.0 - sigma2 * np.concatenate([[0.0], np.cumsum(drops)])
+        depths.append(depth)
+    traces, ks = choose_size(rows, sigma2, spec, m, rule)
+    assert traces.shape == rows.shape and ks.shape == (nrows,)
+    for i, depth in enumerate(depths):
+        trace, k = choose_size(rows[i, : depth + 1], sigma2, spec, m, rule)
+        assert isinstance(k, int) and ks[i] == k <= depth
+        assert traces[i, : depth + 1].tolist() == trace.tolist()
+        assert np.all(traces[i, depth + 1:] == np.inf)

@@ -9,6 +9,7 @@ from stepfdr.quantiles import two_sided_pvalue
 from stepfdr.regress import Dataset, forward_path, least_squares, standardize
 from stepfdr.selector import (
     RULES,
+    choose_size,
     default_rule,
     msfdr_iterative,
     penalized_trace,
@@ -150,6 +151,16 @@ class TestTsfdr:
         a = select(ds, PenaltySpec("tsfdr", q=0.05), sigma2=1.0)
         b = tsfdr_select(ds, 0.05, sigma2=1.0)
         assert a.k_selected == b.k_selected
+
+    def test_batched_rescan_keeps_stage_one_sizes(self):
+        # m = 4, q' = 0.4/1.4, sigma2 = 1.  Path A stops at r1 = 1 in
+        # stage 1 and at 2 with the stage-2 constants of pool m - 1; path
+        # B stops at r1 = 2.  Rescanning A again with B's pool m - 2
+        # would move it to 3.
+        rss = np.array([[100.0, 96.0, 94.0, 93.0, 92.9],
+                        [100.0, 96.0, 93.0, 92.0, 91.9]])
+        _, k = choose_size(rss, 1.0, PenaltySpec("tsfdr", q=0.4), 4, "first-local-min")
+        assert k.tolist() == [2, 3]
 
     def test_stage_one_empty_is_final(self):
         ds = _orthogonal_dataset([0.4, 0.5, 0.6, 0.7])
