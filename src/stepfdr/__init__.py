@@ -38,7 +38,6 @@ from .simlab import (
     random_oracle,
     run_config,
     solve_c_for_r2,
-    theoretical_mspe,
 )
 
 __version__ = "0.1.0"

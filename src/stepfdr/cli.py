@@ -9,8 +9,11 @@ Subcommands: ``select`` (dataset selection report), ``penalty-table``
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,36 +22,15 @@ import numpy as np
 from .dataio import ExpansionSpec, expand, ingest
 from .penalties import PenaltySpec, penalty_table
 from .regress import forward_path
-from .selector import RULES, default_rule, msfdr_iterative, select
-from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_table, method_label,
-                     minimax_summary, run_config)
+from .selector import RULES, method_label, msfdr_iterative, parse_method, select
+from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_table, minimax_summary,
+                     run_config)
 
 _FLOAT_FMT = "%.17g"
 
 
 def _fmt(v: float) -> str:
     return _FLOAT_FMT % v
-
-
-def parse_method(token: str) -> Tuple[PenaltySpec, Optional[str]]:
-    """Parse "family[:level][@rule]" into a penalty spec and rule override."""
-    token = token.strip()
-    rule = None
-    if "@" in token:
-        token, rule = token.split("@", 1)
-        if rule not in RULES:
-            raise ValueError(f"unknown stopping rule {rule!r}")
-    fam, _, level = token.partition(":")
-    fam = fam.lower()
-    kwargs = {}
-    if level:
-        if fam == "fixed-alpha":
-            kwargs["p"] = float(level)
-        elif fam == "bm":
-            kwargs["c_bm"] = float(level)
-        else:
-            kwargs["q"] = float(level)
-    return PenaltySpec(fam, **kwargs), rule
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +93,12 @@ def _cmd_select(args) -> int:
 def _cmd_penalty_table(args) -> int:
     spec, _ = parse_method(_method_token(args))
     table = penalty_table(spec, args.m, args.kmax)
+    label = spec.label()
     out = ["family\tm\tk\talpha_k\tlambda_k\tstep_cost_k"]
     for i in range(table.k_max):
         a = "" if np.isnan(table.alpha[i]) else _fmt(table.alpha[i])
         out.append(
-            f"{spec.label()}\t{table.m}\t{i + 1}\t{a}\t{_fmt(table.lam[i])}\t{_fmt(table.cost[i])}"
+            f"{label}\t{table.m}\t{i + 1}\t{a}\t{_fmt(table.lam[i])}\t{_fmt(table.cost[i])}"
         )
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
@@ -132,8 +115,7 @@ def _cmd_penalty_table(args) -> int:
 def read_campaign_file(path) -> dict:
     """Parse the `key = value` campaign format (lists comma-separated).
 
-    Recognized keys: seed, replications, m, rho, beta_type, p_index,
-    c_scale, effect_target, methods.  Lines starting with '#' are
+    Keys are those of ``campaign_grid``.  Lines starting with '#' are
     comments.
     """
     cfg: dict = {}
@@ -148,58 +130,66 @@ def read_campaign_file(path) -> dict:
     return cfg
 
 
+# Each SimConfig field, in order, with its declared type, which decides
+# how its value is written to and read from text.
+_hints = typing.get_type_hints(SimConfig)
+_CONFIG_TYPES = {f.name: _hints[f.name] for f in fields(SimConfig)}
+
+
+def _config_text(name: str, value) -> str:
+    """A config value as written to a result file (floats as %.17g)."""
+    return str(value) if _CONFIG_TYPES[name] is int or isinstance(value, str) else _fmt(value)
+
+
+def _config_value(name: str, text: str):
+    """Parse a config value by its field's declared type ("auto" where allowed)."""
+    kind = _CONFIG_TYPES[name]
+    if kind is int:
+        return int(text)
+    return "auto" if kind is not float and text == "auto" else float(text)
+
+
+# Grid axes with their default lists, and the scalar keys, whose
+# defaults are SimConfig's.
+_GRID_AXES = {"m": "20", "rho": "-0.5,0,0.5", "beta_type": "1,2,3", "p_index": "1,2,3,4,5,6"}
+_SCALAR_KEYS = ("seed", "replications", "c_scale", "effect_target")
+
+
 def campaign_grid(cfg: dict) -> Tuple[List[SimConfig], List[Tuple[PenaltySpec, Optional[str]]]]:
-    def ints(key, default):
-        return [int(tok) for tok in cfg.get(key, default).split(",")]
+    """Cells and methods of a campaign: every combination of the grid
+    axes, with the scalar keys (or SimConfig's defaults) in each cell.
 
-    def floats(key, default):
-        return [float(tok) for tok in cfg.get(key, default).split(",")]
-
-    seed = int(cfg.get("seed", "0"))
-    reps = int(cfg.get("replications", "1000"))
-    c_scale = cfg.get("c_scale", "auto")
-    if c_scale != "auto":
-        c_scale = float(c_scale)
-    effect_target = float(cfg.get("effect_target", "3"))
+    Unknown keys, and two cells that would share a result file, are
+    rejected.
+    """
+    unknown = sorted(set(cfg) - set(_GRID_AXES) - set(_SCALAR_KEYS) - {"methods"})
+    if unknown:
+        raise ValueError(f"unknown campaign key(s): {', '.join(unknown)}")
+    scalars = {key: _config_value(key, cfg[key]) for key in _SCALAR_KEYS if key in cfg}
+    axes = {key: [_config_value(key, tok) for tok in cfg.get(key, default).split(",")]
+            for key, default in _GRID_AXES.items()}
     methods = [parse_method(tok) for tok in cfg.get("methods", "msfdr:0.05").split(",")]
-    grid = [
-        SimConfig(
-            m=m,
-            rho=rho,
-            beta_type=bt,
-            p_index=pi,
-            replications=reps,
-            seed=seed,
-            c_scale=c_scale,
-            effect_target=effect_target,
-        )
-        for m in ints("m", "20")
-        for rho in floats("rho", "-0.5,0,0.5")
-        for bt in ints("beta_type", "1,2,3")
-        for pi in ints("p_index", "1,2,3,4,5,6")
-    ]
+    grid = [SimConfig(**dict(zip(axes, cell)), **scalars)
+            for cell in itertools.product(*axes.values())]
+    cells = {}
+    for config in grid:
+        other = cells.setdefault(config.key(), config)
+        if other is not config:
+            raise ValueError(f"cells {_cell(other)} and {_cell(config)} both map to "
+                             f"result file {config.key()}.tsv")
     return grid, methods
 
 
-_CONFIG_FIELDS = ("m", "rho", "beta_type", "p_index", "replications", "seed",
-                  "sigma", "beta0", "c_scale", "effect_target")
+def _cell(config: SimConfig) -> str:
+    return "(" + ", ".join(f"{key}={getattr(config, key)!r}" for key in _GRID_AXES) + ")"
 
 
 def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
     """Write one cell's result file atomically (temp file, then rename)."""
     c = outcome.config
     path = out_dir / f"{c.key()}.tsv"
-    lines = [
-        f"# m\t{c.m}",
-        f"# rho\t{_fmt(c.rho)}",
-        f"# beta_type\t{c.beta_type}",
-        f"# p_index\t{c.p_index}",
-        f"# replications\t{c.replications}",
-        f"# seed\t{c.seed}",
-        f"# sigma\t{_fmt(c.sigma)}",
-        f"# beta0\t{_fmt(c.beta0)}",
-        f"# c_scale\t{c.c_scale if c.c_scale == 'auto' else _fmt(c.c_scale)}",
-        f"# effect_target\t{_fmt(c.effect_target)}",
+    lines = [f"# {name}\t{_config_text(name, getattr(c, name))}" for name in _CONFIG_TYPES]
+    lines += [
         f"# oracle_mspe\t{_fmt(outcome.oracle_mspe)}",
         f"# dominance_violations\t{outcome.dominance_violations}",
         "method\tmean_mspe\toracle_mspe\trelative_loss\tse_relative_loss",
@@ -233,22 +223,10 @@ def read_outcome(path: Path) -> ConfigOutcome:
         label, mean_mspe, oracle_mspe, rel, se = ln.split("\t")
         oracle = float(oracle_mspe)
         methods.append(MethodOutcome(label, float(mean_mspe), float(rel), float(se)))
-    missing = [key for key in _CONFIG_FIELDS if key not in meta]
+    missing = [name for name in _CONFIG_TYPES if name not in meta]
     if missing:
         raise ValueError(f"{path}: result file lacks {', '.join(missing)}")
-    c_scale = meta["c_scale"]
-    config = SimConfig(
-        m=int(meta["m"]),
-        rho=float(meta["rho"]),
-        beta_type=int(meta["beta_type"]),
-        p_index=int(meta["p_index"]),
-        replications=int(meta["replications"]),
-        seed=int(meta["seed"]),
-        sigma=float(meta["sigma"]),
-        beta0=float(meta["beta0"]),
-        c_scale="auto" if c_scale == "auto" else float(c_scale),
-        effect_target=float(meta["effect_target"]),
-    )
+    config = SimConfig(**{name: _config_value(name, meta[name]) for name in _CONFIG_TYPES})
     return ConfigOutcome(config=config, oracle_mspe=oracle, methods=tuple(methods),
                          dominance_violations=int(meta.get("dominance_violations", 0) or 0))
 
@@ -286,7 +264,7 @@ def _cmd_simulate(args) -> int:
                 continue
             print(f"rerun {config.key()}: result file holds {reason}")
         pending.append(config)
-    workers = args.workers or int(os.environ.get("STEPFDR_WORKERS", "0")) or (os.cpu_count() or 1)
+    workers = args.workers or os.cpu_count() or 1
     if workers > 1 and len(pending) > 1:
         # Imported here: loading it pulls in multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

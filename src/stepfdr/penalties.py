@@ -81,12 +81,18 @@ class PenaltySpec:
 
     def label(self) -> str:
         if self.family in ("bh", "msfdr", "tsfdr"):
-            return f"{self.family}:{self.q:g}"
+            return f"{self.family}:{_level(self.q)}"
         if self.family == "fixed-alpha":
-            return f"fixed-alpha:{self.p:g}"
+            return f"fixed-alpha:{_level(self.p)}"
         if self.family == "bm" and self.c_bm != DEFAULT_BM_CONSTANT:
-            return f"bm:{self.c_bm:g}"
+            return f"bm:{_level(self.c_bm)}"
         return self.family
+
+
+def _level(value: float) -> str:
+    """The ``:g`` form of a level when it reads back exactly, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 def step_alpha(spec: PenaltySpec, i: int, m: int) -> float:

@@ -8,7 +8,7 @@ two-stage FDR composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "msfdr_iterative",
     "tsfdr_select",
     "default_rule",
+    "parse_method",
+    "method_label",
 ]
 
 RULES = ("first-local-min", "global-min", "last-crossing")
@@ -39,6 +41,35 @@ _DEFAULT_RULES = {"msfdr": "first-local-min", "tsfdr": "first-local-min", "bh": 
 
 def default_rule(spec: PenaltySpec) -> str:
     return _DEFAULT_RULES.get(spec.family, "global-min")
+
+
+# The spec field a method token's level sets; other families take none.
+_LEVEL_FIELDS = {"bh": "q", "msfdr": "q", "tsfdr": "q", "fixed-alpha": "p", "bm": "c_bm"}
+
+
+def parse_method(token: str) -> Tuple[PenaltySpec, Optional[str]]:
+    """Parse "family[:level][@rule]" into a penalty spec and rule override."""
+    token, at, rule = token.strip().partition("@")
+    if at and rule not in RULES:
+        raise ValueError(f"unknown stopping rule {rule!r}")
+    fam, _, level = token.partition(":")
+    fam = fam.lower()
+    field = _LEVEL_FIELDS.get(fam)
+    spec = PenaltySpec(fam, **({field: float(level)} if field and level else {}))
+    if level and field is None:
+        raise ValueError(f"{fam} takes no level, got {token!r}")
+    return spec, rule or None
+
+
+def method_label(spec: PenaltySpec, rule: Optional[str]) -> Tuple[str, str]:
+    """(effective rule, method token): a non-default rule is appended as "@rule".
+
+    ``parse_method`` reads the token back as the same spec and rule,
+    except for a ``cap``, which tokens cannot express.
+    """
+    eff = rule if rule is not None else default_rule(spec)
+    label = spec.label() if eff == default_rule(spec) else f"{spec.label()}@{eff}"
+    return eff, label
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .quantiles import RandomSource
 from .regress import Dataset, forward_sweep, least_squares
-from .simlab import path_prefix_mspe, random_oracle, theoretical_mspe
+from .simlab import path_prefix_mspe, random_oracle
 
 __all__ = ["brute_force_forward", "explicit_projection_mspe", "run"]
 
@@ -91,25 +91,21 @@ def run(instances: int = 500, seed: int = 20090194, verbose: bool = False) -> li
         if not np.allclose(rss[: len(b_rss)], b_rss, rtol=1e-8):
             path_ok = False
 
-        subset = [j for j in range(m) if rng.random() < 0.5]
-        fast = theoretical_mspe(X, beta, subset, 1.0)
-        slow = explicit_projection_mspe(X, beta, subset, 1.0)
-        if abs(fast - slow) > 1e-9 * max(1.0, abs(slow)):
-            mspe_ok = False
-
         signal = X @ beta
         ord2, _, bias = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
         prefix = path_prefix_mspe(bias, 1.0, intercept=True)
         k_star, v_star = random_oracle(prefix)
-        exhaustive = [
+        exhaustive = np.array([
             explicit_projection_mspe(X, beta, ord2[:k], 1.0) for k in range(len(ord2) + 1)
-        ]
+        ])
+        if np.any(np.abs(prefix - exhaustive) > 1e-9 * np.maximum(1.0, exhaustive)):
+            mspe_ok = False
         if abs(v_star - min(exhaustive)) > 1e-9 * max(1.0, min(exhaustive)):
             oracle_ok = False
         if k_star != int(np.argmin(exhaustive)):
             oracle_ok = False
 
     check(f"forward path matches exhaustive refits ({instances} instances)", path_ok)
-    check("theoretical MSPE matches explicit projection", mspe_ok)
+    check("per-prefix path MSPE matches explicit projection", mspe_ok)
     check("random oracle matches exhaustive prefix minimization", oracle_ok)
     return failures

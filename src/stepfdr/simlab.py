@@ -11,7 +11,7 @@ isolation bit-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .penalties import PenaltySpec
 from .quantiles import RandomSource
 from .regress import forward_sweep
-from .selector import choose_size, default_rule
+from .selector import choose_size, method_label, parse_method
 
 __all__ = [
     "P_FRACTIONS",
@@ -29,9 +29,7 @@ __all__ = [
     "gen_design",
     "gen_beta",
     "solve_c_for_r2",
-    "theoretical_mspe",
     "random_oracle",
-    "method_label",
     "run_config",
     "minimax_summary",
     "best_q_table",
@@ -192,34 +190,6 @@ def gen_beta(config: SimConfig, X: np.ndarray, source: RandomSource) -> np.ndarr
     return c * unit
 
 
-def theoretical_mspe(
-    X: np.ndarray,
-    beta: np.ndarray,
-    subset: Sequence[int],
-    sigma2: float,
-    intercept: bool = True,
-) -> float:
-    """sigma2 * k plus the squared omitted-signal bias.
-
-    k counts fitted parameters including the intercept; the bias is the
-    squared norm of X2 beta2 projected off the span of the selected
-    columns (plus intercept).
-    """
-    subset = list(subset)
-    rest = sorted(set(range(X.shape[1])) - set(subset))
-    b2 = X[:, rest] @ beta[rest] if rest else np.zeros(X.shape[0])
-    cols = ([np.ones(X.shape[0])] if intercept else []) + [X[:, j] for j in subset]
-    k = len(cols)
-    if not cols:
-        return sigma2 * k + float(b2 @ b2)
-    A = np.column_stack(cols)
-    coef, _, rank, _ = np.linalg.lstsq(A, b2, rcond=None)
-    if rank < A.shape[1]:
-        raise np.linalg.LinAlgError("selected columns are rank deficient")
-    resid = b2 - A @ coef
-    return sigma2 * k + float(resid @ resid)
-
-
 def random_oracle(prefix_mspe: np.ndarray) -> tuple:
     """Best prefix of a path given its per-prefix theoretical MSPE.
 
@@ -236,13 +206,6 @@ def random_oracle(prefix_mspe: np.ndarray) -> tuple:
 def path_prefix_mspe(bias: np.ndarray, sigma2: float, intercept: bool = True) -> np.ndarray:
     ks = np.arange(np.shape(bias)[-1]) + (1 if intercept else 0)
     return sigma2 * ks + bias
-
-
-def method_label(spec: PenaltySpec, rule: Optional[str]) -> Tuple[str, str]:
-    """(effective rule, result label): a non-default rule is appended as "@rule"."""
-    eff = rule if rule is not None else default_rule(spec)
-    label = spec.label() if eff == default_rule(spec) else f"{spec.label()}@{eff}"
-    return eff, label
 
 
 def run_config(
@@ -334,11 +297,19 @@ def best_q_table(
     outcomes: Sequence[ConfigOutcome],
     family: str,
 ) -> Dict[float, float]:
-    """Worst-case relative loss per q level for one FDR family."""
+    """Worst-case relative loss per q level for one FDR family.
+
+    Only the family's default-rule labels count; an "@rule" label is
+    another method.
+    """
+    levels = {}
+    for label in {mo.label for o in outcomes for mo in o.methods}:
+        spec, rule = parse_method(label)
+        if spec.family == family and rule is None:
+            levels[label] = spec.q
     by_q: Dict[float, List[float]] = {}
     for o in outcomes:
         for mo in o.methods:
-            fam, _, qs = mo.label.partition(":")
-            if fam == family and qs:
-                by_q.setdefault(float(qs), []).append(mo.relative_loss)
+            if mo.label in levels:
+                by_q.setdefault(levels[mo.label], []).append(mo.relative_loss)
     return {q: max(v) for q, v in sorted(by_q.items())}

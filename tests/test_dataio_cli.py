@@ -6,7 +6,7 @@ import pytest
 from stepfdr.cli import main, parse_method, read_outcome, write_outcome
 from stepfdr.dataio import ExpansionSpec, diabetes_path, expand, ingest, load_diabetes
 from stepfdr.penalties import PenaltySpec
-from stepfdr.simlab import SimConfig, run_config
+from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, run_config
 
 
 def _write(tmp_path, name, text):
@@ -118,6 +118,11 @@ class TestParseMethod:
         with pytest.raises(ValueError, match="stopping rule"):
             parse_method("aic@sideways")
 
+    @pytest.mark.parametrize("family", ["aic", "dj", "fs", "tk", "gf"])
+    def test_level_on_a_family_without_one_is_rejected(self, family):
+        with pytest.raises(ValueError, match=f"{family} takes no level"):
+            parse_method(f"{family}:3@global-min")
+
 
 class TestOutcomeRoundTrip:
     def test_write_read(self, tmp_path):
@@ -137,6 +142,28 @@ class TestOutcomeRoundTrip:
                         seed=11, sigma=0.7, beta0=-2.5, c_scale=1.25, effect_target=4.5)
         out = run_config(cfg, [(PenaltySpec("aic"), None)])
         assert read_outcome(write_outcome(out, tmp_path)).config == cfg
+
+    def test_header_is_pinned(self, tmp_path):
+        methods = (MethodOutcome("aic", 1.5, 2.0, 0.25),)
+        default = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2)
+        every = SimConfig(m=6, rho=-0.3, beta_type=3, p_index=4, replications=5, seed=2**40,
+                          sigma=0.7, beta0=-2.5, c_scale=1.25, effect_target=4.5)
+        (tmp_path / "b").mkdir()
+        texts = [write_outcome(ConfigOutcome(default, 0.1, methods, 2), tmp_path).read_text(),
+                 write_outcome(ConfigOutcome(every, 0.1, methods, 2), tmp_path / "b").read_text()]
+        body = ("# oracle_mspe\t0.10000000000000001\n"
+                "# dominance_violations\t2\n"
+                "method\tmean_mspe\toracle_mspe\trelative_loss\tse_relative_loss\n"
+                "aic\t1.5\t0.10000000000000001\t2\t0.25\n")
+        assert texts[0] == (
+            "# m\t6\n# rho\t0\n# beta_type\t1\n# p_index\t2\n# replications\t1000\n"
+            "# seed\t0\n# sigma\t1\n# beta0\t10\n# c_scale\tauto\n# effect_target\t3\n"
+        ) + body
+        assert texts[1] == (
+            "# m\t6\n# rho\t-0.29999999999999999\n# beta_type\t3\n# p_index\t4\n"
+            "# replications\t5\n# seed\t1099511627776\n# sigma\t0.69999999999999996\n"
+            "# beta0\t-2.5\n# c_scale\t1.25\n# effect_target\t4.5\n"
+        ) + body
 
     def test_file_lacking_a_field_is_rejected(self, tmp_path):
         cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
@@ -271,6 +298,50 @@ class TestCli:
         want = run_config(cfg, [(PenaltySpec("bm", c_bm=5.0), None)]).methods[0]
         assert got.label == "bm:5"
         assert got.relative_loss == want.relative_loss
+
+    def test_simulate_reruns_a_cell_at_a_level_past_six_digits(self, capsys, tmp_path):
+        cells = "seed = 3\nreplications = 20\nm = 8\nrho = 0\nbeta_type = 1\np_index = 1\n"
+        first = _write(tmp_path, "a.txt", cells + "methods = msfdr:0.05\n")
+        second = _write(tmp_path, "b.txt", cells + "methods = msfdr:0.05000001\n")
+        args = ["--out", str(tmp_path / "out"), "--workers", "1"]
+        assert main(["simulate", "--config", str(first)] + args) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(second)] + args) == 0
+        assert "1 configuration(s) run, 0 skipped" in capsys.readouterr().out
+        (path,) = (tmp_path / "out").glob("*.tsv")
+        assert [mo.label for mo in read_outcome(path).methods] == ["msfdr:0.05000001"]
+
+    def test_summarize_leaves_rule_labels_out_of_best_q(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt",
+                         "seed = 3\nreplications = 20\nm = 8\nrho = 0\nbeta_type = 1\n"
+                         "p_index = 1,4\nmethods = msfdr:0.05,msfdr:0.1,msfdr:0.2@global-min\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir),
+                     "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert main(["summarize", "--in", str(out_dir)]) == 0
+        (best,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith("# best q for msfdr")]
+        assert "q=0.05:" in best and "q=0.1:" in best and "q=0.2" not in best
+
+    def test_simulate_rejects_an_unknown_campaign_key(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho = 0\nreplication = 5\nsigma = 2\n")
+        out_dir = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)])
+        assert rc == 1
+        assert "unknown campaign key(s): replication, sigma" in capsys.readouterr().err
+        assert not list(out_dir.glob("*.tsv"))
+
+    def test_simulate_rejects_cells_sharing_a_result_file(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt", "replications = 5\nm = 8\nrho = 0.501,0.502\n"
+                                            "beta_type = 1\np_index = 1\n")
+        out_dir = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)])
+        assert rc == 1
+        assert ("cells (m=8, rho=0.501, beta_type=1, p_index=1) and "
+                "(m=8, rho=0.502, beta_type=1, p_index=1) both map to result file "
+                "m8_rho+0.50_b1_p1.tsv") in capsys.readouterr().err
+        assert not list(out_dir.glob("*.tsv"))
 
     def test_summarize_rejects_mixed_method_sets(self, capsys, tmp_path):
         cells = "seed = 3\nreplications = 20\nm = 8\nrho = 0\nbeta_type = 1\n"

@@ -63,6 +63,9 @@ class TestPenaltySpec:
         assert PenaltySpec("tk").label() == "tk"
         assert PenaltySpec("bm").label() == "bm"
         assert PenaltySpec("bm", c_bm=5.0).label() == "bm:5"
+        # Levels the :g form would round keep every digit.
+        assert PenaltySpec("msfdr", q=0.05000001).label() == "msfdr:0.05000001"
+        assert PenaltySpec("bm", c_bm=1234567.0).label() == "bm:1234567.0"
 
 
 class TestStepAlpha:

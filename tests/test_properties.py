@@ -6,8 +6,9 @@ and exact zero drops; the 2-d stopping rules against the 1-d rule row by
 row (and both against a difference-based reference); the diabetes
 full-depth entry orders against the orders the residual-matrix
 (Gram-Schmidt) sweep produced; the array quantile function against
-its scalar form; the penalty algebra of every family; and the batched
-trace-to-size function against one call per path.
+its scalar form; the penalty algebra of every family; the batched
+trace-to-size function against one call per path; and method tokens
+read back as the spec and rule they were written from.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_cost, step_costs
 from stepfdr.quantiles import inverse_normal_cdf
 from stepfdr.regress import Dataset, forward_path, forward_sweep, least_squares
-from stepfdr.selector import RULES, choose_size, stop
+from stepfdr.selector import RULES, choose_size, method_label, parse_method, stop
 
 EPS = np.finfo(float).eps
 
@@ -261,3 +262,23 @@ def test_batched_size_matches_one_path_at_a_time(data, m, nrows, rule, spec):
         assert isinstance(k, int) and ks[i] == k <= depth
         assert traces[i, : depth + 1].tolist() == trace.tolist()
         assert np.all(traces[i, depth + 1:] == np.inf)
+
+
+# Levels whose :g form loses digits (0.05000001, 1234567) are included.
+_Q_LEVELS = st.one_of(st.sampled_from([0.05, 0.05000001, 0.1, 1.0 / 3.0]), st.floats(1e-9, 0.49))
+_BM_CONSTANTS = st.one_of(st.sampled_from([2000.0, 5.0, 1234567.0, 1234568.0]),
+                          st.floats(1e-3, 1e12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family=st.sampled_from(FAMILIES), level=_Q_LEVELS, c_bm=_BM_CONSTANTS,
+       rule=st.sampled_from((None,) + RULES))
+def test_method_tokens_round_trip(family, level, c_bm, rule):
+    # Specs with a cap are left out: tokens cannot express it.
+    levels = {"bh": {"q": level}, "msfdr": {"q": level}, "tsfdr": {"q": level},
+              "fixed-alpha": {"p": level}, "bm": {"c_bm": c_bm}}
+    spec = PenaltySpec(family, **levels.get(family, {}))
+    eff, label = method_label(spec, rule)
+    back, back_rule = parse_method(label)
+    assert back == spec
+    assert method_label(back, back_rule) == (eff, label)

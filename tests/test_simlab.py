@@ -7,6 +7,7 @@ import pytest
 
 from stepfdr.penalties import PenaltySpec
 from stepfdr.quantiles import RandomSource
+from stepfdr.regress import forward_sweep
 from stepfdr.selfcheck import explicit_projection_mspe
 from stepfdr.simlab import (
     MethodOutcome,
@@ -19,7 +20,6 @@ from stepfdr.simlab import (
     random_oracle,
     run_config,
     solve_c_for_r2,
-    theoretical_mspe,
 )
 
 METHODS = [
@@ -138,20 +138,30 @@ class TestGenBeta:
 
 
 class TestMspeAndOracle:
+    @staticmethod
+    def _path_mspe(X, beta, sigma2, rng):
+        signal = X @ beta
+        y = signal + rng.standard_normal(X.shape[0])
+        order, _, bias = forward_sweep(X, y, k_max=X.shape[1], center=True, true_mean=signal)
+        return order, path_prefix_mspe(bias, sigma2)
+
     def test_matches_explicit_projection(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((30, 6))
         beta = np.array([2.0, -1.0, 0.0, 0.5, 0.0, 0.0])
-        for subset in ([], [0], [1, 3], [0, 1, 2, 3, 4, 5]):
-            fast = theoretical_mspe(X, beta, subset, 1.3)
-            slow = explicit_projection_mspe(X, beta, subset, 1.3)
+        order, prefix = self._path_mspe(X, beta, 1.3, rng)
+        assert len(prefix) == 7
+        for k, fast in enumerate(prefix):
+            slow = explicit_projection_mspe(X, beta, order[:k], 1.3)
             assert fast == pytest.approx(slow, rel=1e-10)
 
     def test_full_model_is_pure_variance(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((20, 4))
         beta = rng.standard_normal(4)
-        assert theoretical_mspe(X, beta, [0, 1, 2, 3], 1.0) == pytest.approx(5.0)
+        _, prefix = self._path_mspe(X, beta, 1.0, rng)
+        assert len(prefix) == 5
+        assert prefix[-1] == pytest.approx(5.0)  # sigma2 * (m + 1)
 
     def test_random_oracle_picks_prefix_min(self):
         prefix = np.array([9.0, 4.0, 5.0, 3.0, 6.0])
