@@ -23,7 +23,7 @@ from .dataio import ExpansionSpec, expand, ingest
 from .penalties import PenaltySpec, penalty_table
 from .regress import forward_path
 from .selector import RULES, method_label, msfdr_iterative, parse_method, select
-from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_table, minimax_summary,
+from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_tables, minimax_summary,
                      run_config)
 
 _FLOAT_FMT = "%.17g"
@@ -322,8 +322,7 @@ def _cmd_summarize(args) -> int:
     for label in labels:
         print(f"{label}\t{overall[label]:.4g}")
 
-    for family in ("bh", "tsfdr", "msfdr"):
-        table = best_q_table(outcomes, family)
+    for family, table in best_q_tables(outcomes).items():
         if len(table) > 1:
             best = min(table, key=table.get)
             print(f"# best q for {family}: {best:g} " +
@@ -339,8 +338,10 @@ def _cmd_summarize(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selfcheck
 
-    failures = selfcheck.run(instances=args.instances, verbose=True)
-    return 1 if failures else 0
+    checks = selfcheck.run(instances=args.instances)
+    for label, ok in checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {label}")
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
@@ -29,12 +30,65 @@ def _sniff_delimiter(header: str) -> str:
     return "\t" if header.count("\t") >= header.count(",") else ","
 
 
+def _header_names(path, line: str, delim: str) -> list:
+    """Column names of a header line; a name given twice is rejected."""
+    header = [h.strip() for h in line.split(delim)]
+    first: dict = {}
+    for col, name in enumerate(header, start=1):
+        if first.setdefault(name, col) != col:
+            raise ValueError(
+                f"{path}: header name {name!r} appears twice, in columns {first[name]} and {col}"
+            )
+    return header
+
+
+def _load_numeric(fh, delim: str) -> Optional[np.ndarray]:
+    """The rest of an open file as a 2-d float array, or None if numpy rejects it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # raised when no data rows follow
+        try:
+            return np.loadtxt(fh, delimiter=delim, comments=None, ndmin=2)
+        except ValueError:
+            return None
+
+
 def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
     The named response column is separated out; remaining columns
-    become candidates.  Cells must be finite numbers; errors name the
-    offending row and column.
+    become candidates.  Header names must be distinct.  Cells must be
+    finite numbers; errors name the offending row and column.
+
+    numpy parses the data in one streaming pass.  Whenever it fails, or
+    its array lacks the response, 3 rows, a column per name or finite
+    row sums, the line-by-line parser reads the file instead: it raises
+    the error naming row and column, or parses what only Python's
+    ``float`` accepts (such as ``1_000``).
+    """
+    data = None
+    with open(path, "r", encoding="utf-8") as fh:
+        line = next((ln for ln in fh if ln.strip()), None)
+        if line is not None:
+            delim = _sniff_delimiter(line)
+            header = _header_names(path, line, delim)
+            data = _load_numeric(fh, delim)
+    if (data is None or response not in header or data.shape[0] < 3
+            or data.shape[1] != len(header) or not np.isfinite(data.sum(axis=1)).all()):
+        header, data = _parse_lines(path, response)
+    ycol = header.index(response)
+    keep = [j for j in range(len(header)) if j != ycol]
+    ds = Dataset(
+        y=data[:, ycol],
+        X=data[:, keep],
+        names=tuple(header[j] for j in keep),
+    )
+    return standardize(ds) if standardize_data else ds
+
+
+def _parse_lines(path, response: str):
+    """Header names and data array of a file, parsed cell by cell with ``float``.
+
+    The fallback of ``ingest``: every error names its row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -70,14 +124,7 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
                 f"{path}: non-finite cell at row {ridx + 1}, column {header[bad[0]]!r}: "
                 f"{lines[ridx + 1].split(delim)[bad[0]]!r}"
             )
-    ycol = header.index(response)
-    keep = [j for j in range(len(header)) if j != ycol]
-    ds = Dataset(
-        y=data[:, ycol],
-        X=data[:, keep],
-        names=tuple(header[j] for j in keep),
-    )
-    return standardize(ds) if standardize_data else ds
+    return header, data
 
 
 def expand(dataset: Dataset, spec: ExpansionSpec) -> Dataset:

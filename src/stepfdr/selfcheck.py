@@ -62,16 +62,8 @@ def explicit_projection_mspe(X, beta, subset, sigma2, intercept=True) -> float:
     return sigma2 * k + float(r @ r)
 
 
-def run(instances: int = 500, seed: int = 20090194, verbose: bool = False) -> list:
-    """Run the brute-force comparison suite; returns a list of failures."""
-    failures = []
-
-    def check(label, ok):
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        if not ok:
-            failures.append(label)
-
+def run(instances: int = 500, seed: int = 20090194) -> list:
+    """Run the brute-force comparison suite; returns (label, passed) per check."""
     rng = RandomSource(seed).generator()
     path_ok = mspe_ok = oracle_ok = True
     for _ in range(instances):
@@ -105,7 +97,8 @@ def run(instances: int = 500, seed: int = 20090194, verbose: bool = False) -> li
         if k_star != int(np.argmin(exhaustive)):
             oracle_ok = False
 
-    check(f"forward path matches exhaustive refits ({instances} instances)", path_ok)
-    check("per-prefix path MSPE matches explicit projection", mspe_ok)
-    check("random oracle matches exhaustive prefix minimization", oracle_ok)
-    return failures
+    return [
+        (f"forward path matches exhaustive refits ({instances} instances)", path_ok),
+        ("per-prefix path MSPE matches explicit projection", mspe_ok),
+        ("random oracle matches exhaustive prefix minimization", oracle_ok),
+    ]

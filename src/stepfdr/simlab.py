@@ -32,7 +32,7 @@ __all__ = [
     "random_oracle",
     "run_config",
     "minimax_summary",
-    "best_q_table",
+    "best_q_tables",
 ]
 
 # p-index 1..6 maps to these fractions of m (index 1 is sqrt(m)).
@@ -293,23 +293,22 @@ def minimax_summary(
     return out
 
 
-def best_q_table(
-    outcomes: Sequence[ConfigOutcome],
-    family: str,
-) -> Dict[float, float]:
-    """Worst-case relative loss per q level for one FDR family.
+def best_q_tables(outcomes: Sequence[ConfigOutcome]) -> Dict[str, Dict[float, float]]:
+    """Worst-case relative loss per q level for bh, tsfdr and msfdr, in that order.
 
-    Only the family's default-rule labels count; an "@rule" label is
-    another method.
+    Only a family's default-rule labels count; an "@rule" label is
+    another method.  Each distinct label is parsed once.
     """
+    families = ("bh", "tsfdr", "msfdr")
     levels = {}
     for label in {mo.label for o in outcomes for mo in o.methods}:
         spec, rule = parse_method(label)
-        if spec.family == family and rule is None:
-            levels[label] = spec.q
-    by_q: Dict[float, List[float]] = {}
+        if spec.family in families and rule is None:
+            levels[label] = (spec.family, spec.q)
+    by_level: Dict[Tuple[str, float], List[float]] = {}
     for o in outcomes:
         for mo in o.methods:
             if mo.label in levels:
-                by_q.setdefault(levels[mo.label], []).append(mo.relative_loss)
-    return {q: max(v) for q, v in sorted(by_q.items())}
+                by_level.setdefault(levels[mo.label], []).append(mo.relative_loss)
+    return {family: {q: max(v) for (f, q), v in sorted(by_level.items()) if f == family}
+            for family in families}

@@ -52,6 +52,23 @@ class TestIngest:
         with pytest.raises(ValueError, match="at least 3 data rows"):
             ingest(f, response="Y")
 
+    @pytest.mark.parametrize("header, message", [
+        ("a,Y,Y", "header name 'Y' appears twice, in columns 2 and 3"),
+        ("a,Y,b,a", "header name 'a' appears twice, in columns 1 and 4"),
+    ], ids=["response", "candidate"])
+    def test_duplicate_header_name(self, tmp_path, header, message):
+        rows = "\n".join(",".join(str(i + j) for j in range(header.count(",") + 1))
+                         for i in range(4))
+        f = _write(tmp_path, "d.csv", f"{header}\n{rows}\n")
+        with pytest.raises(ValueError, match=f"{message}$"):
+            ingest(f, response="Y")
+
+    def test_underscore_cells_parse_as_float_does(self, tmp_path):
+        f = _write(tmp_path, "d.csv", "a,Y\n1_000,2\n3,4\n5,6_5\n")
+        ds = ingest(f, response="Y", standardize_data=False)
+        assert ds.X[:, 0].tolist() == [1000.0, 3.0, 5.0]
+        assert ds.y.tolist() == [2.0, 4.0, 65.0]
+
     def test_standardized_by_default(self, tmp_path):
         f = _write(tmp_path, "d.csv", "a,Y\n1,2\n3,5\n5,6\n9,7\n")
         ds = ingest(f, response="Y")
@@ -381,4 +398,15 @@ class TestCli:
     def test_selftest_quick(self, capsys):
         rc = main(["selftest", "--instances", "5"])
         assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "PASS  forward path matches exhaustive refits (5 instances)\n"
+            "PASS  per-prefix path MSPE matches explicit projection\n"
+            "PASS  random oracle matches exhaustive prefix minimization\n"
+        )
+
+    def test_selfcheck_writes_nothing(self, capsys):
+        from stepfdr import selfcheck
+
+        checks = selfcheck.run(instances=5)
+        assert [ok for _, ok in checks] == [True, True, True]
+        assert capsys.readouterr() == ("", "")

@@ -7,15 +7,21 @@ row (and both against a difference-based reference); the diabetes
 full-depth entry orders against the orders the residual-matrix
 (Gram-Schmidt) sweep produced; the array quantile function against
 its scalar form; the penalty algebra of every family; the batched
-trace-to-size function against one call per path; and method tokens
-read back as the spec and rule they were written from.
+trace-to-size function against one call per path; method tokens
+read back as the spec and rule they were written from; and ``ingest``
+against the line-by-line parser it falls back to, on clean and broken
+tables alike.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepfdr.dataio import _load_numeric, _parse_lines, ingest
 from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_cost, step_costs
 from stepfdr.quantiles import inverse_normal_cdf
 from stepfdr.regress import Dataset, forward_path, forward_sweep, least_squares
@@ -282,3 +288,72 @@ def test_method_tokens_round_trip(family, level, c_bm, rule):
     back, back_rule = parse_method(label)
     assert back == spec
     assert method_label(back, back_rule) == (eff, label)
+
+
+# Cell styles: what `float` and numpy both parse, and `1_000`, which
+# only `float` does.
+_CELL_STYLES = {
+    "repr": st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    "int": st.integers(-10**6, 10**6).map(str),
+    "exp": st.floats(-1e6, 1e6).map(lambda v: "%.6e" % v),
+    "underscore": st.integers(-10**6, 10**6).map(lambda i: f"{i:_}"),
+}
+_BREAKS = (None, "oops", "", "nan", "inf", "1e400", "ragged", "#", "extra name")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), delim=st.sampled_from([",", "\t"]), newline=st.sampled_from(["\n", "\r\n"]),
+       ncols=st.integers(1, 4), nrows=st.integers(0, 6), has_response=st.booleans(),
+       style=st.sampled_from(sorted(_CELL_STYLES)), breakage=st.sampled_from(_BREAKS),
+       blank=st.sampled_from([None, "", "   ", "\t"]), pad=st.booleans())
+def test_ingest_matches_line_parser(data, delim, newline, ncols, nrows, has_response, style,
+                                    breakage, blank, pad):
+    names = [f"c{j}" for j in range(ncols)]
+    names[data.draw(st.integers(0, ncols - 1))] = "Y" if has_response else "Z"
+    cells = [[data.draw(_CELL_STYLES[style]) for _ in range(ncols)] for _ in range(nrows)]
+    if pad:
+        cells = [[f" {c}  " for c in row] for row in cells]
+    lines = [delim.join(names)] + [delim.join(row) for row in cells]
+    if breakage == "extra name":  # every row is one cell short
+        lines[0] += delim + "extra"
+    elif breakage is not None and nrows:
+        i = data.draw(st.integers(1, nrows))
+        if breakage == "ragged":
+            lines[i] = delim.join(cells[i - 1][:-1])
+        elif breakage == "#":
+            lines[i] = "#" + lines[i]
+        else:
+            row = list(cells[i - 1])
+            row[data.draw(st.integers(0, ncols - 1))] = breakage
+            lines[i] = delim.join(row)
+    if blank is not None:
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_bytes(newline.join(lines).encode() + newline.encode())
+        fast = _ingest_outcome(lambda: ingest(path, "Y", standardize_data=False))
+        slow = _ingest_outcome(lambda: _dataset_from_lines(path))
+        assert fast == slow
+        clean = (breakage is None and blank in (None, "") and style != "underscore"
+                 and nrows >= 3 and has_response)
+        if clean:  # the table took numpy's path
+            with open(path, encoding="utf-8") as fh:
+                next(ln for ln in fh if ln.strip())
+                assert _load_numeric(fh, delim) is not None
+
+
+def _ingest_outcome(read):
+    """Names and the exact bytes of y and X, or the error message."""
+    try:
+        ds = read()
+    except ValueError as exc:
+        return str(exc)
+    return ds.names, ds.X.shape, ds.y.tobytes(), ds.X.tobytes()
+
+
+def _dataset_from_lines(path):
+    header, table = _parse_lines(path, "Y")
+    keep = [j for j, name in enumerate(header) if name != "Y"]
+    return Dataset(y=table[:, header.index("Y")], X=table[:, keep],
+                   names=tuple(header[j] for j in keep))

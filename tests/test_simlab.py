@@ -8,6 +8,7 @@ import pytest
 from stepfdr.penalties import PenaltySpec
 from stepfdr.quantiles import RandomSource
 from stepfdr.regress import forward_sweep
+from stepfdr.selector import parse_method
 from stepfdr.selfcheck import explicit_projection_mspe
 from stepfdr.simlab import (
     MethodOutcome,
@@ -286,3 +287,24 @@ class TestSummaries:
             minimax_summary([], 1)
         with pytest.raises(ValueError):
             minimax_summary(self._fake_outcomes(), 0)
+
+    def test_best_q_tables_parse_each_label_once(self, monkeypatch):
+        from stepfdr import simlab
+        from stepfdr.simlab import ConfigOutcome
+
+        labels = ("bh:0.05", "bh:0.1", "msfdr:0.05", "msfdr:0.2@global-min", "aic", "tsfdr:0.1")
+        outs = [
+            ConfigOutcome(config=SimConfig(m=8, rho=0.0, beta_type=1, p_index=i),
+                          oracle_mspe=1.0,
+                          methods=tuple(MethodOutcome(lbl, 1.0, i + 0.1 * j, 0.01)
+                                        for j, lbl in enumerate(labels)))
+            for i in (1, 2)
+        ]
+        parsed = []
+        monkeypatch.setattr(simlab, "parse_method",
+                            lambda label: parsed.append(label) or parse_method(label))
+        tables = simlab.best_q_tables(outs)
+        assert sorted(parsed) == sorted(labels)
+        assert tables == {"bh": {0.05: 2.0, 0.1: 2.1}, "tsfdr": {0.1: 2.5},
+                          "msfdr": {0.05: 2.2}}
+        assert list(tables) == ["bh", "tsfdr", "msfdr"]
