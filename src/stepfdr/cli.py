@@ -9,6 +9,7 @@ Subcommands: ``select`` (dataset selection report), ``penalty-table``
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -349,6 +350,9 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built once per process: parse_args leaves the parser unchanged, and
+# building it costs more than a small select.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stepfdr",

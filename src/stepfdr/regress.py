@@ -9,6 +9,7 @@ over the n*m data.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,6 +29,8 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-12
+
+log = logging.getLogger(__name__)
 
 
 class DegenerateColumnError(ValueError):
@@ -155,14 +158,46 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
 
 
 def estimate_sigma2(dataset: Dataset) -> float:
-    """Residual variance of the full model, RSS_full / (n - m - intercept)."""
+    """Residual variance of the full model, RSS_full / (n - m - intercept).
+
+    The full model is fit by a Cholesky factor of X'X (of the centered
+    columns when the intercept is forced), and RSS_full is taken from
+    the residual y - Xb itself: an error d in b moves it by only |Xd|^2,
+    while RSS_0 minus the explained sum of squares loses most of its
+    digits at high R^2. When the factor fails or its smallest
+    squared pivot is at or below the sweep's floor (RANK_RTOL times the
+    largest diagonal of X'X, at least 1), a warning gives that ratio and
+    ``least_squares`` fits the model by SVD instead; it raises
+    ``LinAlgError`` when the pool is rank deficient.
+    """
     dof = dataset.n - dataset.m - (1 if dataset.has_intercept else 0)
     if dof <= 0:
         raise ValueError(
             f"insufficient degrees of freedom: n={dataset.n}, m={dataset.m} "
             "(need n > m + 1 with an intercept)"
         )
-    _, rss_full = least_squares(dataset, range(dataset.m))
+    X, y = dataset.X, dataset.y
+    if dataset.intercept_forced:
+        X = X - X.mean(axis=0)
+        y = y - y.mean()
+    G = X.T @ X
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        ratio = 0.0
+    else:
+        ratio = float(L.diagonal().min()) ** 2 / max(float(G.diagonal().max()), 1.0)
+    if ratio > RANK_RTOL:
+        b = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
+        r = y - X @ b
+        rss_full = float(r @ r)
+    else:
+        log.warning(
+            "full-model X'X is near singular (smallest squared Cholesky pivot "
+            "/ largest diagonal = %.3g <= %g); fitting sigma2 by SVD least squares",
+            ratio, RANK_RTOL,
+        )
+        _, rss_full = least_squares(dataset, range(dataset.m))
     scale = float(dataset.y @ dataset.y)
     if rss_full <= 1e-12 * max(scale, 1.0):
         warnings.warn(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stepfdr.cli import main, parse_method, read_outcome, write_outcome
+from stepfdr.cli import build_parser, main, parse_method, read_outcome, write_outcome
 from stepfdr.dataio import ExpansionSpec, diabetes_path, expand, ingest, load_diabetes
 from stepfdr.penalties import PenaltySpec
 from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, run_config
@@ -220,6 +220,33 @@ class TestCli:
         assert "# k_selected\t6" in captured
         for name in ("BMI", "S5", "BP", "S1", "SEX", "S2"):
             assert f"\n{name}\t" in captured or captured.startswith(f"{name}\t")
+
+    def test_one_process_serves_requests_without_leaking_state(self, capsys):
+        # One parser serves every call in a process; no option set by one
+        # request may carry into the next. A --q left over from the first
+        # call would turn the level-less tk into tk:0.1, which is an error.
+        data = ["--data", str(diabetes_path()), "--response", "Y"]
+        plain = ["select", *data, "--method", "tk"]
+        argvs = [
+            ["select", *data, "--method", "msfdr", "--q", "0.1"],
+            plain,
+            ["penalty-table", "--method", "bh:0.05", "--m", "10"],
+            ["select", *data, "--method", "aic", "--expand", "--square-exclude", "SEX"],
+            plain,
+        ]
+        build_parser.cache_clear()
+        outs = []
+        for argv in argvs:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert build_parser.cache_info().misses == 1
+        assert "# method\tmsfdr:0.1\n" in outs[0]
+        assert "# n\t442\tm\t64\n" in outs[3]
+        assert outs[4] == outs[1]
+        for argv, out in zip(argvs, outs):
+            build_parser.cache_clear()
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
 
     def test_select_report_deterministic(self, tmp_path):
         args = [

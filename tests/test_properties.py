@@ -8,9 +8,10 @@ full-depth entry orders against the orders the residual-matrix
 (Gram-Schmidt) sweep produced; the array quantile function against
 its scalar form; the penalty algebra of every family; the batched
 trace-to-size function against one call per path; method tokens
-read back as the spec and rule they were written from; and ``ingest``
+read back as the spec and rule they were written from; ``ingest``
 against the line-by-line parser it falls back to, on clean and broken
-tables alike.
+tables alike; and the normal-equation ``estimate_sigma2`` against the
+SVD least-squares fit, on collinear, high-R^2 and raw pools.
 """
 
 import tempfile
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from stepfdr.dataio import _load_numeric, _parse_lines, ingest
 from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_cost, step_costs
 from stepfdr.quantiles import inverse_normal_cdf
-from stepfdr.regress import Dataset, forward_path, forward_sweep, least_squares
+from stepfdr.regress import Dataset, estimate_sigma2, forward_path, forward_sweep, least_squares
 from stepfdr.selector import RULES, choose_size, method_label, parse_method, stop
 
 EPS = np.finfo(float).eps
@@ -195,6 +196,73 @@ def test_diabetes_full_depth_orders(pool, expected, diabetes_main, diabetes_quad
     for k in range(path.depth + 1):
         _, exact = least_squares(ds, path.entered[:k])
         assert path.rss[k] == pytest.approx(exact, rel=1e-9)
+
+
+def _sigma2_pool(seed, m, n, log_cond, noise, raw):
+    """A `_pool`-style dataset whose noise is ``noise`` times the signal's
+    RMS (0 puts y in the span), and the matrix ``least_squares`` fits.
+
+    A raw pool has its columns scaled by up to 10x either way and offset,
+    and forces an intercept; the others are centered as ``standardize``
+    would leave them.
+    """
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    X = (U * np.logspace(0.0, -log_cond, m)) @ V.T
+    signal = X @ rng.standard_normal(m)
+    y = signal + noise * np.sqrt(signal @ signal / n) * rng.standard_normal(n)
+    names = tuple(f"x{j}" for j in range(m))
+    if raw:
+        X = X * 10.0 ** rng.uniform(-1.0, 1.0, m) + rng.uniform(-5.0, 5.0, m)
+        ds = Dataset(y=y + rng.uniform(-5.0, 5.0), X=X, names=names, intercept_forced=True)
+        return ds, np.column_stack([np.ones(n), X])
+    X = X - X.mean(axis=0)
+    return Dataset(y=y - y.mean(), X=X, names=names, standardized=True), X
+
+
+# At noise 1e-6 the RSS can fall under the numerically-zero threshold,
+# which warns; the value is still compared.
+@pytest.mark.filterwarnings("ignore:full-model residual is numerically zero")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), extra=st.sampled_from([2, 3, 6, 20]),
+       log_cond=st.floats(0.0, 5.0), log_noise=st.floats(-6.0, 0.0), raw=st.booleans())
+def test_sigma2_matches_least_squares(seed, m, extra, log_cond, log_noise, raw):
+    """Normal equations square the condition number, and a high-R^2 RSS
+    is sensitive to the residual's own rounding in either solver: the
+    slack is eps * cond * (cond + |y| / |r|), with cond that of the
+    matrix the SVD fit sees (the intercept column included).
+    """
+    ds, A = _sigma2_pool(seed, m, m + extra, log_cond, 10.0 ** log_noise, raw)
+    dof = ds.n - ds.m - 1
+    _, rss = least_squares(ds, range(m))
+    cond = np.linalg.cond(A)
+    y_over_r = np.sqrt(ds.y @ ds.y / rss)
+    assert estimate_sigma2(ds) == pytest.approx(
+        rss / dof, rel=16.0 * EPS * cond * (cond + y_over_r), abs=0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8), extra=st.integers(2, 12),
+       raw=st.booleans(), data=st.data())
+def test_sigma2_rejects_duplicate_columns(seed, m, extra, raw, data):
+    ds, _ = _sigma2_pool(seed, m, m + extra, 1.0, 0.1, raw)
+    i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+    X = ds.X.copy()
+    X[:, i] = X[:, j]
+    dup = Dataset(y=ds.y, X=X, names=ds.names, intercept_forced=ds.intercept_forced,
+                  standardized=ds.standardized)
+    with pytest.raises(np.linalg.LinAlgError):
+        estimate_sigma2(dup)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), extra=st.integers(2, 12),
+       log_cond=st.floats(0.0, 3.0), raw=st.booleans())
+def test_sigma2_warns_when_y_lies_in_the_span(seed, m, extra, log_cond, raw):
+    ds, _ = _sigma2_pool(seed, m, m + extra, log_cond, 0.0, raw)
+    with pytest.warns(RuntimeWarning, match="numerically zero"):
+        estimate_sigma2(ds)
 
 
 # PPND16 regions: central |p - 0.5| <= 0.425, intermediate down to

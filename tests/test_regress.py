@@ -1,8 +1,13 @@
 """Least-squares machinery versus direct numpy reference computations."""
 
+import logging
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from stepfdr import regress
 from stepfdr.regress import (
     Dataset,
     DegenerateColumnError,
@@ -192,6 +197,43 @@ class TestForwardPathAndSigma2:
         ds = Dataset(y=y, X=X, names=("a", "b"))
         with pytest.warns(RuntimeWarning, match="degenerate"):
             estimate_sigma2(ds)
+
+    def test_near_singular_pool_falls_back_and_logs_the_pivot_ratio(self, caplog, capsys):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((40, 4))
+        X[:, 3] = X[:, 0] + 1e-7 * rng.standard_normal(40)  # cond about 1e7
+        y = X @ np.array([1.0, 2.0, 0.0, 0.0]) + rng.standard_normal(40)
+        ds = standardize(Dataset(y=y, X=X, names=tuple("abcd")))
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s2 = estimate_sigma2(ds)
+        assert s2 == least_squares(ds, range(4))[1] / (40 - 4 - 1)
+        [record] = caplog.records
+        assert record.name == "stepfdr.regress"
+        assert record.levelno == logging.WARNING
+        ratio = re.search(r"pivot / largest diagonal = (\S+) <=", record.getMessage())
+        assert 0.0 < float(ratio.group(1)) <= regress.RANK_RTOL
+        assert capsys.readouterr() == ("", "")
+
+    def test_benchmark_pools_skip_the_svd_fit(self, monkeypatch, caplog,
+                                              diabetes_main, diabetes_quad):
+        # The normal-equation fit is what makes sigma2 cheap on the
+        # benchmark's pools; an edit that sends them back to the SVD
+        # fit fails here rather than only in a timing.
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((2000, 500))
+        y = X[:, :20] @ rng.standard_normal(20) + rng.standard_normal(2000)
+        wide = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(500))))
+        pools = (diabetes_main, diabetes_quad, wide)
+        expected = [least_squares(ds, range(ds.m))[1] / (ds.n - ds.m - 1) for ds in pools]
+
+        def svd_fit(*args):
+            raise AssertionError("estimate_sigma2 took the SVD least-squares fit")
+
+        monkeypatch.setattr(regress, "least_squares", svd_fit)
+        assert [estimate_sigma2(ds) for ds in pools] == pytest.approx(expected, rel=1e-14)
+        assert caplog.records == []
 
     def test_invalid_sigma2_rejected(self):
         rng = np.random.default_rng(13)
