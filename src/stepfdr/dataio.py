@@ -59,6 +59,11 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     become candidates.  Header names must be distinct.  Cells must be
     finite numbers; errors name the offending row and column.
 
+    At most two arrays the size of X are alive at any time: the parsed
+    table and X while the columns are copied out, then X and its
+    standardized copy (plus one block of columns while ``standardize``
+    sums their squares).
+
     numpy parses the data in one streaming pass.  Whenever it fails, or
     its array lacks the response, 3 rows, a column per name or finite
     row sums, the line-by-line parser reads the file instead: it raises
@@ -77,11 +82,15 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
         header, data = _parse_lines(path, response)
     ycol = header.index(response)
     keep = [j for j in range(len(header)) if j != ycol]
-    ds = Dataset(
-        y=data[:, ycol],
-        X=data[:, keep],
-        names=tuple(header[j] for j in keep),
-    )
+    # A view of y would keep the whole table alive; with it dropped,
+    # standardizing holds X and its centered copy, not a third array.
+    # X keeps the column-major layout data[:, keep] gives it: layout
+    # fixes the order of every column sum downstream, so a C-ordered X
+    # would move the last digits of the results.
+    y = data[:, ycol].copy()
+    X = data[:, keep]
+    del data
+    ds = Dataset(y=y, X=X, names=tuple(header[j] for j in keep))
     return standardize(ds) if standardize_data else ds
 
 

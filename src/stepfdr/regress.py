@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-12
+STANDARDIZE_BLOCK_BYTES = 1 << 18
 
 log = logging.getLogger(__name__)
 
@@ -107,20 +108,36 @@ class ForwardPath:
 
 
 def standardize(dataset: Dataset) -> Dataset:
-    """Center y; center every column of X and scale it to unit length."""
+    """Center y; center every column of X and scale it to unit length.
+
+    The input is left untouched. Besides the centered copy of X, only
+    the squares of one block of columns are held at a time, at most
+    ``STANDARDIZE_BLOCK_BYTES`` of them unless two columns take more;
+    each column is summed on its own, so the lengths equal those of a
+    whole-matrix ``(Xc * Xc).sum(axis=0)`` bit for bit.
+    """
     X = dataset.X
-    means = X.mean(axis=0)
-    Xc = X - means
-    lengths = np.sqrt((Xc * Xc).sum(axis=0))
+    Xc = X - X.mean(axis=0)
+    n, m = Xc.shape
+    # numpy sums a lone column of a C-ordered matrix pairwise but a wider
+    # block row by row, so no block, the tail included, is one column.
+    width = max(STANDARDIZE_BLOCK_BYTES // (n * Xc.itemsize), 2)
+    edges = [*range(0, max(m - 1, 1), width), m]
+    lengths = np.empty(m)
+    for a, b in zip(edges, edges[1:]):
+        block = Xc[:, a:b]
+        np.sum(block * block, axis=0, out=lengths[a:b])
+    np.sqrt(lengths, out=lengths)
     bad = np.flatnonzero(lengths <= 0.0)
     if bad.size:
         raise DegenerateColumnError(
             f"column {dataset.names[bad[0]]!r} is constant and cannot be standardized"
         )
     yc = dataset.y - dataset.y.mean()
+    np.divide(Xc, lengths, out=Xc)
     return Dataset(
         y=yc,
-        X=Xc / lengths,
+        X=Xc,
         names=dataset.names,
         intercept_forced=dataset.intercept_forced,
         standardized=True,
@@ -164,11 +181,13 @@ def estimate_sigma2(dataset: Dataset) -> float:
     columns when the intercept is forced), and RSS_full is taken from
     the residual y - Xb itself: an error d in b moves it by only |Xd|^2,
     while RSS_0 minus the explained sum of squares loses most of its
-    digits at high R^2. When the factor fails or its smallest
-    squared pivot is at or below the sweep's floor (RANK_RTOL times the
-    largest diagonal of X'X, at least 1), a warning gives that ratio and
-    ``least_squares`` fits the model by SVD instead; it raises
-    ``LinAlgError`` when the pool is rank deficient.
+    digits at high R^2. When the factor fails or a squared pivot is at
+    most RANK_RTOL times its column's diagonal of X'X (the pivots of the
+    correlation matrix, so column units do not matter), a warning gives
+    the smallest ratio and ``least_squares`` fits the model by SVD
+    instead; it raises ``LinAlgError`` when the pool is rank deficient.
+    With a forced intercept, a column that centering leaves with at most
+    RANK_RTOL of its squared norm counts as constant and also falls back.
     """
     dof = dataset.n - dataset.m - (1 if dataset.has_intercept else 0)
     if dof <= 0:
@@ -178,23 +197,27 @@ def estimate_sigma2(dataset: Dataset) -> float:
         )
     X, y = dataset.X, dataset.y
     if dataset.intercept_forced:
-        X = X - X.mean(axis=0)
+        means = X.mean(axis=0)
+        X = X - means
         y = y - y.mean()
     G = X.T @ X
+    diag = G.diagonal()
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         ratio = 0.0
     else:
-        ratio = float(L.diagonal().min()) ** 2 / max(float(G.diagonal().max()), 1.0)
+        ratio = float((L.diagonal() ** 2 / diag).min())
+        if dataset.intercept_forced:
+            ratio = min(ratio, float((diag / (diag + dataset.n * means * means)).min()))
     if ratio > RANK_RTOL:
         b = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
         r = y - X @ b
         rss_full = float(r @ r)
     else:
         log.warning(
-            "full-model X'X is near singular (smallest squared Cholesky pivot "
-            "/ largest diagonal = %.3g <= %g); fitting sigma2 by SVD least squares",
+            "full-model X'X is near singular (smallest squared pivot / its "
+            "column's squared norm = %.3g <= %g); fitting sigma2 by SVD least squares",
             ratio, RANK_RTOL,
         )
         _, rss_full = least_squares(dataset, range(dataset.m))
@@ -228,14 +251,18 @@ def forward_sweep(
 
     Ties (drops within RANK_RTOL * RSS_0 of the best) break toward the
     lowest column index; the path stops early once no candidate reduces
-    the RSS by more than RANK_RTOL * RSS_0.
+    the RSS by more than RANK_RTOL * RSS_0. A column whose residual
+    squared norm falls to RANK_RTOL times its own starting one (after
+    centering) never enters, nor does one that centering leaves with
+    at most RANK_RTOL of its squared norm; both floors are unit-free.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = X.shape[1]
+    n, m = X.shape
     b = None if true_mean is None else np.asarray(true_mean, dtype=float)
     if center:
-        X = X - X.mean(axis=0)
+        means = X.mean(axis=0)
+        X = X - means
         y = y - y.mean()
         if b is not None:
             b = b - b.mean()
@@ -247,8 +274,11 @@ def forward_sweep(
     scores = X.T @ y  # X'r for the current residual r
     # Residual squared column norms; inf marks entered or degenerate columns.
     norms2 = G.diagonal().copy()
-    floor = RANK_RTOL * max(norms2.max(initial=0.0), 1.0)
-    norms2[norms2 <= floor] = math.inf
+    floor = RANK_RTOL * norms2
+    # Centering is the intercept's sweep step: it leaves a constant column
+    # rounding noise, far under the column's own squared norm.
+    start = norms2 + n * means * means if center else norms2
+    norms2[norms2 <= RANK_RTOL * start] = math.inf
     rss0 = float(y @ y)
     tol = RANK_RTOL * rss0
     rss = [rss0]

@@ -1,0 +1,51 @@
+"""Peak memory of ingest and standardize, as tracemalloc sees it.
+
+numpy reports its array buffers to tracemalloc, so the traced peak
+counts every data-sized array alive at once. ``ingest`` holds at most
+two (the parsed table while X is copied out of it, then X and its
+standardized copy) plus one block of columns; ``standardize`` alone
+holds the centered copy plus that block.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from stepfdr.dataio import ingest
+from stepfdr.regress import Dataset, standardize
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_ingest_peaks_at_two_data_sized_arrays(tmp_path):
+    n, m = 1000, 200
+    table = np.random.default_rng(0).standard_normal((n, m + 1))
+    header = [f"x{j}" for j in range(m)]
+    header.insert(m // 2, "Y")
+    path = tmp_path / "wide.tsv"
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter="\t")
+
+    ds, peak = _traced_peak(lambda: ingest(path, "Y"))
+    assert ds.X.shape == (n, m)
+    assert peak <= 2.5 * ds.X.nbytes
+
+
+def test_standardize_peaks_at_one_copy():
+    n, m = 1000, 200
+    rng = np.random.default_rng(1)
+    X = np.asfortranarray(rng.standard_normal((n, m)) + 3.0)
+    raw = Dataset(y=rng.standard_normal(n), X=X, names=tuple(f"x{j}" for j in range(m)))
+
+    ds, peak = _traced_peak(lambda: standardize(raw))
+    assert ds.X.shape == (n, m)
+    assert peak <= 1.25 * X.nbytes

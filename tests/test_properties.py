@@ -10,22 +10,36 @@ its scalar form; the penalty algebra of every family; the batched
 trace-to-size function against one call per path; method tokens
 read back as the spec and rule they were written from; ``ingest``
 against the line-by-line parser it falls back to, on clean and broken
-tables alike; and the normal-equation ``estimate_sigma2`` against the
-SVD least-squares fit, on collinear, high-R^2 and raw pools.
+tables alike; the normal-equation ``estimate_sigma2`` against the
+SVD least-squares fit, on collinear, high-R^2 and raw pools; the rank
+floors of the sweep and of ``estimate_sigma2`` on raw pools whose
+columns are in units up to 10^12 apart; and the column-blocked
+``standardize`` against the whole-matrix formula, bit for bit.
 """
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepfdr import regress
 from stepfdr.dataio import _load_numeric, _parse_lines, ingest
 from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_cost, step_costs
 from stepfdr.quantiles import inverse_normal_cdf
-from stepfdr.regress import Dataset, estimate_sigma2, forward_path, forward_sweep, least_squares
+from stepfdr.regress import (
+    RANK_RTOL,
+    Dataset,
+    DegenerateColumnError,
+    estimate_sigma2,
+    forward_path,
+    forward_sweep,
+    least_squares,
+    standardize,
+)
 from stepfdr.selector import RULES, choose_size, method_label, parse_method, stop
 
 EPS = np.finfo(float).eps
@@ -263,6 +277,89 @@ def test_sigma2_warns_when_y_lies_in_the_span(seed, m, extra, log_cond, raw):
     ds, _ = _sigma2_pool(seed, m, m + extra, log_cond, 0.0, raw)
     with pytest.warns(RuntimeWarning, match="numerically zero"):
         estimate_sigma2(ds)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), extra=st.sampled_from([2, 3, 6, 20]),
+       log_cond=st.floats(0.0, 3.0), log_scale=st.floats(0.0, 6.0), data=st.data())
+def test_rank_floors_ignore_column_units(seed, m, extra, log_cond, log_scale, data):
+    """A raw forced-intercept pool with its columns rescaled by up to
+    10**log_scale either way fits sigma2 without the SVD fallback, to
+    the unit pool's SVD value, and sweeps in the unit pool's order up
+    to the first near tie; an exact duplicate column still raises.
+    """
+    unit, A = _sigma2_pool(seed, m, m + extra, log_cond, 0.1, raw=True)
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-log_scale, log_scale, m)
+    raw = Dataset(y=unit.y, X=unit.X * scales, names=unit.names, intercept_forced=True)
+
+    with mock.patch.object(regress, "least_squares",
+                           side_effect=AssertionError("took the SVD fallback")):
+        s2 = estimate_sigma2(raw)
+    _, rss = least_squares(unit, range(m))
+    cond = np.linalg.cond(A)
+    y_over_r = np.sqrt(unit.y @ unit.y / rss)
+    assert s2 == pytest.approx(rss / (unit.n - m - 1),
+                               rel=16.0 * EPS * cond * (cond + y_over_r), abs=0.0)
+
+    order, _, _ = forward_sweep(raw.X, raw.y, m, center=True)
+    want, want_rss, _ = forward_sweep(unit.X, unit.y, m, center=True)
+    k = next((k for k, (a, b) in enumerate(zip(order, want)) if a != b), None)
+    if k is None:
+        assert order == want
+    else:  # a near tie: both columns' refit drops agree to the sweep's slack
+        slack = RANK_RTOL * want_rss[0] + 100.0 * cond**2 * EPS * want_rss[0]
+        fits = [least_squares(unit, want[:k] + [j])[1] for j in (order[k], want[k])]
+        assert abs(fits[0] - fits[1]) <= slack
+
+    if m >= 2:
+        i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        X = raw.X.copy()
+        X[:, max(i, j)] = X[:, min(i, j)]
+        dup = Dataset(y=raw.y, X=X, names=raw.names, intercept_forced=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            estimate_sigma2(dup)
+        assert max(i, j) not in forward_sweep(X, raw.y, m, center=True)[0]
+
+
+def _standardize_check(X, y):
+    """``standardize`` equals the whole-matrix formula to the bit and
+    leaves its input alone."""
+    X0, y0 = X.copy(), y.copy()
+    ds = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(X.shape[1]))))
+    Xc = X - X.mean(0)
+    assert ds.X.tobytes() == (Xc / np.sqrt((Xc * Xc).sum(0))).tobytes()
+    assert ds.y.tobytes() == (y - y.mean()).tobytes()
+    assert X.tobytes() == X0.tobytes() and y.tobytes() == y0.tobytes()
+
+
+def _raw_columns(rng, n, m, order):
+    X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3.0, 3.0, m) + rng.uniform(-1e3, 1e3, m)
+    return np.asarray(X, order=order), 5.0 * rng.standard_normal(n) + 2.0
+
+
+# The block budget is shrunk to `block` columns of n rows, so that small
+# tables cross block edges: widths 63 to 129 straddle one and two blocks
+# of 64.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 50),
+       m=st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 127, 128, 129])),
+       block=st.sampled_from([2, 3, 64]), order=st.sampled_from("CF"), data=st.data())
+def test_standardize_matches_whole_matrix_formula(seed, n, m, block, order, data):
+    X, y = _raw_columns(np.random.default_rng(seed), n, m, order)
+    with mock.patch.object(regress, "STANDARDIZE_BLOCK_BYTES", 8 * n * block):
+        _standardize_check(X, y)
+
+        j = data.draw(st.integers(0, m - 1))
+        X[:, j] = data.draw(st.sampled_from([0.0, 1.0, -2.5, 1e3]))
+        with pytest.raises(DegenerateColumnError, match=f"column 'x{j}' is constant"):
+            standardize(Dataset(y=y, X=X, names=tuple(f"x{k}" for k in range(m))))
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_standardize_tall_columns_match_whole_matrix_formula(order):
+    # At 20,000 rows the block budget holds under two columns, so blocks
+    # are two wide; numpy's pairwise and row-by-row sums differ here.
+    _standardize_check(*_raw_columns(np.random.default_rng(3), 20_000, 7, order))
 
 
 # PPND16 regions: central |p - 0.5| <= 0.425, intermediate down to

@@ -212,9 +212,23 @@ class TestForwardPathAndSigma2:
         [record] = caplog.records
         assert record.name == "stepfdr.regress"
         assert record.levelno == logging.WARNING
-        ratio = re.search(r"pivot / largest diagonal = (\S+) <=", record.getMessage())
+        ratio = re.search(r"pivot / its column's squared norm = (\S+) <=", record.getMessage())
         assert 0.0 < float(ratio.group(1)) <= regress.RANK_RTOL
         assert capsys.readouterr() == ("", "")
+
+    def test_constant_raw_column_is_degenerate(self, caplog):
+        # Seven copies of 0.1 center to +-1.4e-17, not to zero: the
+        # column is judged against its own squared norm before centering.
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((7, 3))
+        X[:, 1] = 0.1
+        assert (X[:, 1] - X[:, 1].mean()).any()
+        y = rng.standard_normal(7)
+        ds = Dataset(y=y, X=X, names=tuple("abc"), intercept_forced=True)
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"), \
+                pytest.raises(np.linalg.LinAlgError):
+            estimate_sigma2(ds)
+        assert 1 not in forward_sweep(X, y, k_max=3, center=True)[0]
 
     def test_benchmark_pools_skip_the_svd_fit(self, monkeypatch, caplog,
                                               diabetes_main, diabetes_quad):
