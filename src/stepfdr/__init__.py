@@ -27,7 +27,6 @@ from .selector import (
     penalized_trace,
     select,
     stop,
-    tsfdr_select,
 )
 from .simlab import (
     ConfigOutcome,

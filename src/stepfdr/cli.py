@@ -18,8 +18,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .dataio import ExpansionSpec, expand, ingest
 from .penalties import PenaltySpec, penalty_table
 from .regress import forward_path
@@ -74,11 +72,10 @@ def _cmd_select(args) -> int:
     if res.iterations is not None:
         lines.append(f"# iterations\t{res.iterations}")
     lines.append("name\tcoefficient")
-    for j, coef in zip(res.selected, res.coefficients):
-        lines.append(f"{ds.names[j]}\t{_fmt(coef)}")
+    lines += [f"{ds.names[j]}\t{_FLOAT_FMT % coef}"
+              for j, coef in zip(res.selected, res.coefficients.tolist())]
     lines.append("k\tpenalized_rss")
-    for k, t in enumerate(res.trace):
-        lines.append(f"{k}\t{_fmt(t)}")
+    lines += [f"{k}\t{_FLOAT_FMT % t}" for k, t in enumerate(res.trace.tolist())]
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out:
@@ -94,13 +91,16 @@ def _cmd_select(args) -> int:
 def _cmd_penalty_table(args) -> int:
     spec, _ = parse_method(_method_token(args))
     table = penalty_table(spec, args.m, args.kmax)
-    label = spec.label()
+    head = f"{spec.label()}\t{table.m}\t"
+    # One pass over Python floats (a != a marks a nan): indexing the
+    # arrays and formatting numpy scalars cell by cell costs more than
+    # the table itself.
     out = ["family\tm\tk\talpha_k\tlambda_k\tstep_cost_k"]
-    for i in range(table.k_max):
-        a = "" if np.isnan(table.alpha[i]) else _fmt(table.alpha[i])
-        out.append(
-            f"{label}\t{table.m}\t{i + 1}\t{a}\t{_fmt(table.lam[i])}\t{_fmt(table.cost[i])}"
-        )
+    out += [
+        f"{head}{k}\t{'' if a != a else _FLOAT_FMT % a}\t{_FLOAT_FMT % lam}\t{_FLOAT_FMT % c}"
+        for k, (a, lam, c) in enumerate(
+            zip(table.alpha.tolist(), table.lam.tolist(), table.cost.tolist()), 1)
+    ]
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
     if args.out:

@@ -200,9 +200,10 @@ def penalty_table(spec: PenaltySpec, m: int, k_max: Optional[int] = None) -> Pen
         alpha = _alphas(spec, m, k_max)
     else:
         alpha = np.full(k_max, np.nan)
-    # lambda_k is the mean of each prefix: cumsum(c) / k rounds
-    # differently, and the cost column (differences of k * lambda_k)
-    # shows that at about 1e-11 relative for large m.
+    # lambda_k is the mean of each prefix, taken as .mean() takes it (a
+    # pairwise sum, then one division) without its per-call overhead.
+    # cumsum(c) / k rounds differently, and the cost column (differences
+    # of k * lambda_k) shows that at about 1e-11 relative for large m.
     costs = step_costs(spec, m, k_max)
-    lam = np.array([costs[:k].mean() for k in range(1, k_max + 1)])
+    lam = np.array([float(np.add.reduce(costs[:k])) / k for k in range(1, k_max + 1)])
     return PenaltyTable(spec=spec, m=m, k_max=k_max, alpha=alpha, lam=lam)

@@ -117,7 +117,8 @@ def standardize(dataset: Dataset) -> Dataset:
     whole-matrix ``(Xc * Xc).sum(axis=0)`` bit for bit.
     """
     X = dataset.X
-    Xc = X - X.mean(axis=0)
+    mean = X.mean(axis=0)
+    Xc = X - mean
     n, m = Xc.shape
     # numpy sums a lone column of a C-ordered matrix pairwise but a wider
     # block row by row, so no block, the tail included, is one column.
@@ -127,12 +128,15 @@ def standardize(dataset: Dataset) -> Dataset:
     for a, b in zip(edges, edges[1:]):
         block = Xc[:, a:b]
         np.sum(block * block, axis=0, out=lengths[a:b])
-    np.sqrt(lengths, out=lengths)
-    bad = np.flatnonzero(lengths <= 0.0)
+    # A constant column centers to the rounding error of its mean, at
+    # most n * eps * |mean| in each of its n entries.  Squared on both
+    # sides, a length that overflows meets a bound that overflows too.
+    bad = np.flatnonzero(lengths <= n * (n * np.finfo(float).eps * mean) ** 2)
     if bad.size:
         raise DegenerateColumnError(
             f"column {dataset.names[bad[0]]!r} is constant and cannot be standardized"
         )
+    np.sqrt(lengths, out=lengths)
     yc = dataset.y - dataset.y.mean()
     np.divide(Xc, lengths, out=Xc)
     return Dataset(

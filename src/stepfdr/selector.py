@@ -24,7 +24,6 @@ __all__ = [
     "choose_size",
     "select",
     "msfdr_iterative",
-    "tsfdr_select",
     "default_rule",
     "parse_method",
     "method_label",
@@ -231,14 +230,3 @@ def msfdr_iterative(
 
     trace = penalized_trace(path, spec, m)
     return _finish(dataset, path, spec, "iterative-p-to-enter", trace, k, iterations)
-
-
-def tsfdr_select(
-    dataset: Dataset,
-    q: float,
-    rule: Optional[str] = None,
-    sigma2: Optional[float] = None,
-    path: Optional[ForwardPath] = None,
-) -> SelectionResult:
-    """Two-stage FDR composition (see ``choose_size``)."""
-    return select(dataset, PenaltySpec("tsfdr", q=q), rule=rule, sigma2=sigma2, path=path)

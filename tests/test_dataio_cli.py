@@ -5,7 +5,7 @@ import pytest
 
 from stepfdr.cli import build_parser, main, parse_method, read_outcome, write_outcome
 from stepfdr.dataio import ExpansionSpec, diabetes_path, expand, ingest, load_diabetes
-from stepfdr.penalties import PenaltySpec
+from stepfdr.penalties import PenaltySpec, penalty_table
 from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, run_config
 
 
@@ -268,6 +268,21 @@ class TestCli:
         assert lines[0] == "family\tm\tk\talpha_k\tlambda_k\tstep_cost_k"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("token", ["bh:0.05", "msfdr:0.05", "fixed-alpha:0.05", "aic",
+                                       "dj", "fs", "tk", "bm", "gf"])
+    def test_penalty_table_matches_per_cell_rendering(self, capsys, token):
+        spec, _ = parse_method(token)
+        for m, kmax in ((1, None), (9, None), (129, None), (300, 257), (1000, 7)):
+            table = penalty_table(spec, m, kmax)
+            want = ["family\tm\tk\talpha_k\tlambda_k\tstep_cost_k"]
+            for i in range(table.k_max):
+                a = "" if np.isnan(table.alpha[i]) else "%.17g" % table.alpha[i]
+                want.append(f"{spec.label()}\t{m}\t{i + 1}\t{a}\t{'%.17g' % table.lam[i]}"
+                            f"\t{'%.17g' % table.cost[i]}")
+            argv = ["penalty-table", "--method", token, "--m", str(m)]
+            assert main(argv + (["--kmax", str(kmax)] if kmax else [])) == 0
+            assert capsys.readouterr().out == "\n".join(want) + "\n"
+
     def test_simulate_and_summarize(self, capsys, tmp_path):
         cfgfile = _write(
             tmp_path,
@@ -408,6 +423,17 @@ class TestCli:
                    "--sigma2", "known:1"])
         assert rc == 1
         assert "non-finite cell at row 3, column 'b'" in capsys.readouterr().err
+
+    def test_select_rejects_a_column_constant_up_to_rounding(self, tmp_path, capsys):
+        # Seven 0.1s average to a neighbour of 0.1, so centering leaves
+        # a column of rounding errors rather than of zeros.
+        rows = ["a\tb\tc\tY"] + [f"{a}\t{b}\t0.1\t{y}" for a, b, y in
+                                  ((1, 2, 3), (4, 5, 6), (7, 1, 9), (1, 5, 2), (3, 3, 1),
+                                   (2, 8, 4), (6, 2, 7))]
+        f = _write(tmp_path, "d.tsv", "\n".join(rows) + "\n")
+        rc = main(["select", "--data", str(f), "--response", "Y", "--method", "aic"])
+        assert rc == 1
+        assert "column 'c' is constant" in capsys.readouterr().err
 
     def test_summarize_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

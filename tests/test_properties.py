@@ -6,15 +6,17 @@ and exact zero drops; the 2-d stopping rules against the 1-d rule row by
 row (and both against a difference-based reference); the diabetes
 full-depth entry orders against the orders the residual-matrix
 (Gram-Schmidt) sweep produced; the array quantile function against
-its scalar form; the penalty algebra of every family; the batched
+its scalar form; the penalty algebra of every family, and each
+table's lambda_k against the mean of its prefix of costs; the batched
 trace-to-size function against one call per path; method tokens
 read back as the spec and rule they were written from; ``ingest``
 against the line-by-line parser it falls back to, on clean and broken
 tables alike; the normal-equation ``estimate_sigma2`` against the
 SVD least-squares fit, on collinear, high-R^2 and raw pools; the rank
 floors of the sweep and of ``estimate_sigma2`` on raw pools whose
-columns are in units up to 10^12 apart; and the column-blocked
-``standardize`` against the whole-matrix formula, bit for bit.
+columns are in units up to 10^12 apart; the column-blocked
+``standardize`` against the whole-matrix formula, bit for bit; and
+``standardize`` on constant columns of any finite value.
 """
 
 import tempfile
@@ -355,6 +357,23 @@ def test_standardize_matches_whole_matrix_formula(seed, n, m, block, order, data
             standardize(Dataset(y=y, X=X, names=tuple(f"x{k}" for k in range(m))))
 
 
+# A constant column whose mean rounds centers to a few ulps, not to 0;
+# values past 1e154 overflow the squared length, and past about
+# 1.8e308 / n the mean itself.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.one_of(st.integers(2, 64), st.integers(2, 10**5)),
+       value=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.1, -0.1, 1.0 / 3.0, 1e-310, 1e200, 1e308])),
+       order=st.sampled_from("CF"), data=st.data())
+def test_constant_columns_always_raise(seed, n, value, order, data):
+    X, y = _raw_columns(np.random.default_rng(seed), n, 3, order)
+    j = data.draw(st.integers(0, 2))
+    X[:, j] = value
+    with np.errstate(over="ignore"), pytest.raises(
+            DegenerateColumnError, match=f"column 'x{j}' is constant"):
+        standardize(Dataset(y=y, X=X, names=("x0", "x1", "x2")))
+
+
 @pytest.mark.parametrize("order", "CF")
 def test_standardize_tall_columns_match_whole_matrix_formula(order):
     # At 20,000 rows the block budget holds under two columns, so blocks
@@ -407,6 +426,21 @@ def test_penalty_algebra(family, level, m):
     for k in {1, (m + 1) // 2, m}:
         assert step_cost(spec, k, m) == costs[k - 1]
         assert step_costs(spec, m, k).tolist() == costs[:k].tolist()
+
+
+# numpy sums a prefix pairwise, with an unrolled block of 8 and a
+# recursion leaf of 128: prefixes of 9, 129 and 257 take one more split.
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(family=st.sampled_from([f for f in FAMILIES if f != "tsfdr"]),
+       level=st.floats(0.001, 0.45),
+       m=st.one_of(st.integers(1, 1100), st.sampled_from([8, 9, 128, 129, 256, 257])),
+       data=st.data())
+def test_penalty_table_lambda_is_each_prefix_mean(family, level, m, data):
+    spec = _family_spec(family, level)
+    k_max = data.draw(st.one_of(st.just(m), st.integers(1, m)))
+    costs = step_costs(spec, m, k_max)
+    lam = penalty_table(spec, m, k_max).lam
+    assert lam.tolist() == [costs[:k].mean() for k in range(1, k_max + 1)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

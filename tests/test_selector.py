@@ -15,7 +15,6 @@ from stepfdr.selector import (
     penalized_trace,
     select,
     stop,
-    tsfdr_select,
 )
 
 
@@ -142,15 +141,17 @@ class TestTsfdr:
             0.9
         ] * (m - 3)
         ds = _orthogonal_dataset(pvals)
-        res = tsfdr_select(ds, q, sigma2=1.0)
+        res = select(ds, PenaltySpec("tsfdr", q=q), sigma2=1.0)
         assert res.k_selected == 3
         assert res.method.family == "tsfdr"
 
     def test_select_dispatches_tsfdr(self):
         ds = _orthogonal_dataset([1e-6, 0.5, 0.6])
-        a = select(ds, PenaltySpec("tsfdr", q=0.05), sigma2=1.0)
-        b = tsfdr_select(ds, 0.05, sigma2=1.0)
-        assert a.k_selected == b.k_selected
+        spec = PenaltySpec("tsfdr", q=0.05)
+        a = select(ds, spec, sigma2=1.0)
+        path = forward_path(ds, sigma2=1.0)
+        _, b = choose_size(path.rss, path.sigma2, spec, ds.m, "first-local-min")
+        assert a.k_selected == b
 
     def test_batched_rescan_keeps_stage_one_sizes(self):
         # m = 4, q' = 0.4/1.4, sigma2 = 1.  Path A stops at r1 = 1 in
@@ -164,7 +165,7 @@ class TestTsfdr:
 
     def test_stage_one_empty_is_final(self):
         ds = _orthogonal_dataset([0.4, 0.5, 0.6, 0.7])
-        res = tsfdr_select(ds, 0.05, sigma2=1.0)
+        res = select(ds, PenaltySpec("tsfdr", q=0.05), sigma2=1.0)
         assert res.k_selected == 0
 
 
