@@ -185,6 +185,10 @@ def _cell(config: SimConfig) -> str:
     return "(" + ", ".join(f"{key}={getattr(config, key)!r}" for key in _GRID_AXES) + ")"
 
 
+_TABLE_COLUMNS = ("method", "mean_mspe", "oracle_mspe", "relative_loss", "se_relative_loss")
+_TABLE_HEADER = "\t".join(_TABLE_COLUMNS)
+
+
 def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
     """Write one cell's result file atomically (temp file, then rename)."""
     c = outcome.config
@@ -193,7 +197,7 @@ def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
     lines += [
         f"# oracle_mspe\t{_fmt(outcome.oracle_mspe)}",
         f"# dominance_violations\t{outcome.dominance_violations}",
-        "method\tmean_mspe\toracle_mspe\trelative_loss\tse_relative_loss",
+        _TABLE_HEADER,
     ]
     for mo in outcome.methods:
         lines.append(
@@ -211,25 +215,61 @@ def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
 
 
 def read_outcome(path: Path) -> ConfigOutcome:
+    """Read one cell's result file: '# name<TAB>value' lines, the method
+    table's header, then one row per method.
+
+    Every row repeats the cell's oracle MSPE as written on its
+    '# oracle_mspe' line.  Errors name the file, and the line and column
+    where they can.
+    """
+    lines = path.read_bytes().decode().splitlines()
+    try:
+        start = lines.index(_TABLE_HEADER) + 1
+    except ValueError:
+        raise ValueError(f"{path}: result file lacks the method table header") from None
     meta = {}
-    methods = []
-    oracle = None
-    for ln in path.read_text().splitlines():
-        if ln.startswith("#"):
-            parts = ln[1:].strip().split("\t")
-            meta[parts[0]] = parts[1] if len(parts) > 1 else None
+    for lineno, ln in enumerate(lines[:start - 1], 1):
+        if not ln.startswith("#"):
+            if ln.strip():
+                raise ValueError(f"{path}: line {lineno} is not a '# name<TAB>value' line")
             continue
-        if ln.startswith("method\t") or not ln.strip():
-            continue
-        label, mean_mspe, oracle_mspe, rel, se = ln.split("\t")
-        oracle = float(oracle_mspe)
-        methods.append(MethodOutcome(label, float(mean_mspe), float(rel), float(se)))
-    missing = [name for name in _CONFIG_TYPES if name not in meta]
+        name, _, value = ln[1:].strip().partition("\t")
+        meta[name] = value
+    missing = [name for name in (*_CONFIG_TYPES, "oracle_mspe") if name not in meta]
     if missing:
         raise ValueError(f"{path}: result file lacks {', '.join(missing)}")
-    config = SimConfig(**{name: _config_value(name, meta[name]) for name in _CONFIG_TYPES})
+    oracle_text = meta["oracle_mspe"]
+    try:
+        config = SimConfig(**{name: _config_value(name, meta[name]) for name in _CONFIG_TYPES})
+        oracle = float(oracle_text)
+        violations = int(meta.get("dominance_violations") or 0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    methods = []
+    for lineno, ln in enumerate(lines[start:], start + 1):
+        cells = ln.split("\t")
+        if len(cells) != len(_TABLE_COLUMNS):
+            if not ln.strip():
+                continue
+            raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
+                             f"expected {len(_TABLE_COLUMNS)}")
+        if cells[2] != oracle_text:
+            raise ValueError(f"{path}: line {lineno}, column 'oracle_mspe' holds {cells[2]!r}, "
+                             f"not the cell's {oracle_text!r}")
+        try:
+            methods.append(MethodOutcome(cells[0], float(cells[1]), float(cells[3]),
+                                         float(cells[4])))
+        except ValueError:
+            for col in (1, 3, 4):
+                try:
+                    float(cells[col])
+                except ValueError:
+                    raise ValueError(f"{path}: non-numeric cell at line {lineno}, column "
+                                     f"{_TABLE_COLUMNS[col]!r}: {cells[col]!r}") from None
+    if not methods:
+        raise ValueError(f"{path}: result file holds no method rows")
     return ConfigOutcome(config=config, oracle_mspe=oracle, methods=tuple(methods),
-                         dominance_violations=int(meta.get("dominance_violations", 0) or 0))
+                         dominance_violations=violations)
 
 
 def _stale(path: Path, config: SimConfig, labels: List[str]) -> Optional[str]:
@@ -308,26 +348,24 @@ def _cmd_summarize(args) -> int:
     by_pair = [minimax_summary([o for o in outcomes if (o.config.m, o.config.rho) == pair],
                                worst_k) for pair in pairs]
 
-    print("# worst-%s relative loss by m" % args.worst_k)
-    print("method\t" + "\t".join(f"m={m}" for m in ms))
-    for label in labels:
-        print("\t".join([label] + ["%.4g" % summary[label] for summary in by_m]))
-
-    print("# worst-%s relative loss by (m, rho)" % args.worst_k)
-    print("method\t" + "\t".join(f"m={m},rho={r:g}" for m, r in pairs))
-    for label in labels:
-        print("\t".join([label] + ["%.4g" % summary[label] for summary in by_pair]))
-
-    print("# overall worst-%s relative loss" % args.worst_k)
+    out = ["# worst-%s relative loss by m" % args.worst_k,
+           "method\t" + "\t".join(f"m={m}" for m in ms)]
+    out += ["\t".join([label] + ["%.4g" % summary[label] for summary in by_m])
+            for label in labels]
+    out += ["# worst-%s relative loss by (m, rho)" % args.worst_k,
+            "method\t" + "\t".join(f"m={m},rho={r:g}" for m, r in pairs)]
+    out += ["\t".join([label] + ["%.4g" % summary[label] for summary in by_pair])
+            for label in labels]
+    out.append("# overall worst-%s relative loss" % args.worst_k)
     overall = minimax_summary(outcomes, worst_k)
-    for label in labels:
-        print(f"{label}\t{overall[label]:.4g}")
+    out += [f"{label}\t{overall[label]:.4g}" for label in labels]
 
     for family, table in best_q_tables(outcomes).items():
         if len(table) > 1:
             best = min(table, key=table.get)
-            print(f"# best q for {family}: {best:g} " +
-                  " ".join(f"q={q:g}:{v:.4g}" for q, v in table.items()))
+            out.append(f"# best q for {family}: {best:g} " +
+                       " ".join(f"q={q:g}:{v:.4g}" for q, v in table.items()))
+    sys.stdout.write("\n".join(out) + "\n")
     return 0
 
 

@@ -147,19 +147,23 @@ def expand(dataset: Dataset, spec: ExpansionSpec) -> Dataset:
     unknown = set(spec.square_excluded) - set(base.names)
     if unknown:
         raise ValueError(f"unknown column name(s) in square exclusions: {sorted(unknown)}")
-    cols = [base.X[:, j] for j in range(base.m)]
+    pairs = list(combinations(range(base.m), 2)) if spec.include_interactions else []
+    squared = [j for j in range(base.m) if base.names[j] not in spec.square_excluded]
     names = list(base.names)
-    if spec.include_interactions:
-        for a, b in combinations(range(base.m), 2):
-            names.append(f"{base.names[a]}*{base.names[b]}")
-            cols.append(base.X[:, a] * base.X[:, b])
-    for j in range(base.m):
-        if base.names[j] not in spec.square_excluded:
-            names.append(f"{base.names[j]}^2")
-            cols.append(base.X[:, j] ** 2)
+    names += [f"{base.names[a]}*{base.names[b]}" for a, b in pairs]
+    names += [f"{base.names[j]}^2" for j in squared]
+    # Each term is written into its column of one C-ordered array: the
+    # layout a stack of the columns would have, which fixes the order of
+    # standardize's column sums.
+    X = np.empty((base.n, len(names)))
+    X[:, :base.m] = base.X
+    for col, (a, b) in enumerate(pairs, base.m):
+        np.multiply(base.X[:, a], base.X[:, b], out=X[:, col])
+    for col, j in enumerate(squared, base.m + len(pairs)):
+        np.square(base.X[:, j], out=X[:, col])
     raw = Dataset(
         y=dataset.y,
-        X=np.column_stack(cols),
+        X=X,
         names=tuple(names),
         intercept_forced=dataset.intercept_forced,
     )

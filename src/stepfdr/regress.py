@@ -117,21 +117,31 @@ def standardize(dataset: Dataset) -> Dataset:
     whole-matrix ``(Xc * Xc).sum(axis=0)`` bit for bit.
     """
     X = dataset.X
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    n, m = Xc.shape
+    n, m = X.shape
     # numpy sums a lone column of a C-ordered matrix pairwise but a wider
     # block row by row, so no block, the tail included, is one column.
-    width = max(STANDARDIZE_BLOCK_BYTES // (n * Xc.itemsize), 2)
+    width = max(STANDARDIZE_BLOCK_BYTES // (n * X.itemsize), 2)
     edges = [*range(0, max(m - 1, 1), width), m]
     lengths = np.empty(m)
-    for a, b in zip(edges, edges[1:]):
-        block = Xc[:, a:b]
-        np.sum(block * block, axis=0, out=lengths[a:b])
-    # A constant column centers to the rounding error of its mean, at
-    # most n * eps * |mean| in each of its n entries.  Squared on both
-    # sides, a length that overflows meets a bound that overflows too.
-    bad = np.flatnonzero(lengths <= n * (n * np.finfo(float).eps * mean) ** 2)
+    # Entries past about 1e154 overflow the squared length (and past
+    # about 1.8e308 / n the mean); the checks below report it as an
+    # error, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        Xc = X - mean
+        for a, b in zip(edges, edges[1:]):
+            block = Xc[:, a:b]
+            np.sum(block * block, axis=0, out=lengths[a:b])
+        # A constant column centers to the rounding error of its mean, at
+        # most n * eps * |mean| in each of its n entries.
+        constant = lengths <= n * (n * np.finfo(float).eps * mean) ** 2
+    # An overflowing column that is not constant would be scaled to zeros.
+    if not math.isfinite(lengths.sum()):
+        for j in np.flatnonzero(~np.isfinite(lengths)):
+            if (X[:, j] != X[0, j]).any():
+                raise ValueError(f"column {dataset.names[j]!r} is too large to standardize: "
+                                 "its squared length overflows")
+    bad = np.flatnonzero(constant)
     if bad.size:
         raise DegenerateColumnError(
             f"column {dataset.names[bad[0]]!r} is constant and cannot be standardized"

@@ -275,22 +275,30 @@ def minimax_summary(
     """Per-method mean of the worst-k relative losses over a set of outcomes.
 
     ``worst_k`` is a positive integer or the string "ALL" (plain mean).
+    The losses form one (methods x outcomes) matrix, in the first
+    outcome's method order; each row is sorted once, largest first, and
+    its first k entries are averaged, which sums them in the order
+    ``np.mean`` sums a sorted list of them.
     """
     if not outcomes:
         raise ValueError("no configuration outcomes to summarize")
+    if worst_k != "ALL" and int(worst_k) < 1:
+        raise ValueError("worst-k must be positive or 'ALL'")
     labels = [mo.label for mo in outcomes[0].methods]
-    out = {}
-    for label in labels:
-        losses = sorted((o.loss(label) for o in outcomes), reverse=True)
-        if worst_k == "ALL":
-            take = losses
-        else:
-            k = int(worst_k)
-            if k < 1:
-                raise ValueError("worst-k must be positive or 'ALL'")
-            take = losses[:k]
-        out[label] = float(np.mean(take))
-    return out
+    losses = np.empty((len(labels), len(outcomes)))
+    for j, o in enumerate(outcomes):
+        by_label = {mo.label: mo.relative_loss for mo in o.methods}
+        try:
+            losses[:, j] = [by_label[label] for label in labels]
+        except KeyError as exc:
+            raise ValueError(f"outcome {o.config.key()} lacks method {exc.args[0]}") from None
+    # Negating twice sorts in descending order with positive strides; a
+    # reversed view could let numpy's iterator flip it and sum in
+    # another order.
+    worst = -np.sort(-losses, axis=1)
+    if worst_k != "ALL":
+        worst = worst[:, :int(worst_k)]
+    return dict(zip(labels, worst.mean(axis=1).tolist()))
 
 
 def best_q_tables(outcomes: Sequence[ConfigOutcome]) -> Dict[str, Dict[float, float]]:

@@ -191,6 +191,26 @@ class TestOutcomeRoundTrip:
         with pytest.raises(ValueError, match="lacks effect_target"):
             read_outcome(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("aic\t1.5\t0.10000000000000001\tx14.16\t0.25",
+         "non-numeric cell at line 14, column 'relative_loss': 'x14.16'"),
+        ("aic\t1.5\t0.10000000000000001\t2\t0.25\t7", "line 14 has 6 cells, expected 5"),
+        ("aic\t1.5\t0.1\t2\t0.25", "line 14, column 'oracle_mspe' holds '0.1', "
+                                    "not the cell's '0.10000000000000001'"),
+        (None, "result file holds no method rows"),
+    ], ids=["non-numeric", "extra-cell", "other-oracle", "no-rows"])
+    def test_malformed_file_is_rejected_by_path_and_line(self, tmp_path, row, message):
+        cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
+        path = write_outcome(ConfigOutcome(cfg, 0.1, (MethodOutcome("aic", 1.5, 2.0, 0.25),)),
+                             tmp_path)
+        lines = path.read_text().splitlines()
+        assert lines[12].startswith("method\t") and len(lines) == 14
+        lines[13:] = [row] if row else []
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_outcome(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
         first = run_config(cfg, [(PenaltySpec("aic"), None)])
@@ -383,6 +403,43 @@ class TestCli:
                    if ln.startswith("# best q for msfdr")]
         assert "q=0.05:" in best and "q=0.1:" in best and "q=0.2" not in best
 
+    def test_summarize_output_is_pinned(self, capsys, tmp_path):
+        # Two q levels per FDR family and an @rule label, over 8 cells.
+        cfgfile = _write(tmp_path, "c.txt",
+                         "seed = 3\nreplications = 20\nm = 6,8\nrho = 0,0.5\nbeta_type = 1\n"
+                         "p_index = 1,4\nmethods = bh:0.05,bh:0.1,tsfdr:0.05,tsfdr:0.1,"
+                         "msfdr:0.05,msfdr:0.1,msfdr:0.05@global-min,aic\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir),
+                     "--workers", "1"]) == 0
+        capsys.readouterr()
+        for worst_k, want in (("2", SUMMARY_WORST_2), ("ALL", SUMMARY_WORST_ALL)):
+            assert main(["summarize", "--in", str(out_dir), "--worst-k", worst_k]) == 0
+            assert capsys.readouterr().out == want
+
+    def test_summarize_names_a_malformed_file(self, capsys, tmp_path):
+        cells = "seed = 3\nreplications = 20\nm = 8\nrho = 0\nbeta_type = 1\np_index = 1,2\n"
+        cfgfile = _write(tmp_path, "c.txt", cells + "methods = aic\n")
+        out_dir = tmp_path / "out"
+        args = ["simulate", "--config", str(cfgfile), "--out", str(out_dir), "--workers", "1"]
+        assert main(args) == 0
+        path = out_dir / "m8_rho+0.00_b1_p2.tsv"
+        path.write_text(path.read_text().replace("\naic\t", "\naic\tx"))
+        capsys.readouterr()
+        assert main(["summarize", "--in", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: non-numeric cell at line 14, column 'mean_mspe': 'x" in err
+
+        # A file whose method rows are lost is rejected, and rerun.
+        path.write_text("\n".join(path.read_text().splitlines()[:13]) + "\n")
+        assert main(["summarize", "--in", str(out_dir)]) == 1
+        assert f"{path}: result file holds no method rows" in capsys.readouterr().err
+        assert main(args) == 0
+        text = capsys.readouterr().out
+        assert "rerun m8_rho+0.00_b1_p2: result file holds an unreadable file" in text
+        assert "1 configuration(s) run, 1 skipped" in text
+        assert [mo.label for mo in read_outcome(path).methods] == ["aic"]
+
     def test_simulate_rejects_an_unknown_campaign_key(self, capsys, tmp_path):
         cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho = 0\nreplication = 5\nsigma = 2\n")
         out_dir = tmp_path / "out"
@@ -435,6 +492,15 @@ class TestCli:
         assert rc == 1
         assert "column 'c' is constant" in capsys.readouterr().err
 
+    def test_select_rejects_a_column_too_large_to_standardize(self, tmp_path, capsys):
+        rows = ["a\tbig\tY"] + [f"{i}\t{(-1) ** i * 1e200:.17g}\t{i % 7}" for i in range(50)]
+        f = _write(tmp_path, "d.tsv", "\n".join(rows) + "\n")
+        rc = main(["select", "--data", str(f), "--response", "Y", "--method", "aic"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == ("error: column 'big' is too large to standardize: "
+                                "its squared length overflows\n")
+
     def test_summarize_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -463,3 +529,75 @@ class TestCli:
         checks = selfcheck.run(instances=5)
         assert [ok for _, ok in checks] == [True, True, True]
         assert capsys.readouterr() == ("", "")
+
+
+# summarize output of test_summarize_output_is_pinned's campaign, as the
+# per-label summaries printed it.
+SUMMARY_WORST_2 = (
+    '# worst-2 relative loss by m\n'
+    'method\tm=6\tm=8\n'
+    'bh:0.05\t1.858\t1.695\n'
+    'bh:0.1\t1.721\t1.504\n'
+    'tsfdr:0.05\t2.407\t1.596\n'
+    'tsfdr:0.1\t2.153\t1.516\n'
+    'msfdr:0.05\t2.325\t1.596\n'
+    'msfdr:0.1\t2.153\t1.516\n'
+    'msfdr:0.05@global-min\t1.875\t1.56\n'
+    'aic\t1.551\t1.39\n'
+    '# worst-2 relative loss by (m, rho)\n'
+    'method\tm=6,rho=0\tm=6,rho=0.5\tm=8,rho=0\tm=8,rho=0.5\n'
+    'bh:0.05\t1.759\t1.569\t1.553\t1.443\n'
+    'bh:0.1\t1.456\t1.45\t1.431\t1.35\n'
+    'tsfdr:0.05\t2.32\t1.609\t1.444\t1.442\n'
+    'tsfdr:0.1\t1.969\t1.458\t1.322\t1.333\n'
+    'msfdr:0.05\t2.243\t1.604\t1.444\t1.442\n'
+    'msfdr:0.1\t1.969\t1.458\t1.358\t1.333\n'
+    'msfdr:0.05@global-min\t1.793\t1.604\t1.48\t1.399\n'
+    'aic\t1.435\t1.426\t1.262\t1.298\n'
+    '# overall worst-2 relative loss\n'
+    'bh:0.05\t1.898\n'
+    'bh:0.1\t1.721\n'
+    'tsfdr:0.05\t2.437\n'
+    'tsfdr:0.1\t2.153\n'
+    'msfdr:0.05\t2.36\n'
+    'msfdr:0.1\t2.153\n'
+    'msfdr:0.05@global-min\t1.875\n'
+    'aic\t1.551\n'
+    '# best q for bh: 0.1 q=0.05:2.066 q=0.1:1.787\n'
+    '# best q for tsfdr: 0.1 q=0.05:3.155 q=0.1:2.673\n'
+    '# best q for msfdr: 0.1 q=0.05:3.002 q=0.1:2.673\n'
+)
+SUMMARY_WORST_ALL = (
+    '# worst-ALL relative loss by m\n'
+    'method\tm=6\tm=8\n'
+    'bh:0.05\t1.664\t1.498\n'
+    'bh:0.1\t1.453\t1.391\n'
+    'tsfdr:0.05\t1.964\t1.443\n'
+    'tsfdr:0.1\t1.714\t1.327\n'
+    'msfdr:0.05\t1.923\t1.443\n'
+    'msfdr:0.1\t1.714\t1.346\n'
+    'msfdr:0.05@global-min\t1.698\t1.44\n'
+    'aic\t1.431\t1.28\n'
+    '# worst-ALL relative loss by (m, rho)\n'
+    'method\tm=6,rho=0\tm=6,rho=0.5\tm=8,rho=0\tm=8,rho=0.5\n'
+    'bh:0.05\t1.759\t1.569\t1.553\t1.443\n'
+    'bh:0.1\t1.456\t1.45\t1.431\t1.35\n'
+    'tsfdr:0.05\t2.32\t1.609\t1.444\t1.442\n'
+    'tsfdr:0.1\t1.969\t1.458\t1.322\t1.333\n'
+    'msfdr:0.05\t2.243\t1.604\t1.444\t1.442\n'
+    'msfdr:0.1\t1.969\t1.458\t1.358\t1.333\n'
+    'msfdr:0.05@global-min\t1.793\t1.604\t1.48\t1.399\n'
+    'aic\t1.435\t1.426\t1.262\t1.298\n'
+    '# overall worst-ALL relative loss\n'
+    'bh:0.05\t1.581\n'
+    'bh:0.1\t1.422\n'
+    'tsfdr:0.05\t1.703\n'
+    'tsfdr:0.1\t1.521\n'
+    'msfdr:0.05\t1.683\n'
+    'msfdr:0.1\t1.53\n'
+    'msfdr:0.05@global-min\t1.569\n'
+    'aic\t1.355\n'
+    '# best q for bh: 0.1 q=0.05:2.066 q=0.1:1.787\n'
+    '# best q for tsfdr: 0.1 q=0.05:3.155 q=0.1:2.673\n'
+    '# best q for msfdr: 0.1 q=0.05:3.002 q=0.1:2.673\n'
+)

@@ -1,17 +1,18 @@
-"""Peak memory of ingest and standardize, as tracemalloc sees it.
+"""Peak memory of ingest, standardize and expand, as tracemalloc sees it.
 
 numpy reports its array buffers to tracemalloc, so the traced peak
 counts every data-sized array alive at once. ``ingest`` holds at most
 two (the parsed table while X is copied out of it, then X and its
 standardized copy) plus one block of columns; ``standardize`` alone
-holds the centered copy plus that block.
+holds the centered copy plus that block; ``expand`` holds the expanded
+pool and its standardized copy plus that block.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from stepfdr.dataio import ingest
+from stepfdr.dataio import ExpansionSpec, expand, ingest
 from stepfdr.regress import Dataset, standardize
 
 
@@ -49,3 +50,14 @@ def test_standardize_peaks_at_one_copy():
     ds, peak = _traced_peak(lambda: standardize(raw))
     assert ds.X.shape == (n, m)
     assert peak <= 1.25 * X.nbytes
+
+
+def test_expand_peaks_at_two_data_sized_arrays():
+    n, m = 1000, 30
+    rng = np.random.default_rng(2)
+    base = standardize(Dataset(y=rng.standard_normal(n), X=rng.standard_normal((n, m)),
+                               names=tuple(f"x{j}" for j in range(m))))
+
+    ds, peak = _traced_peak(lambda: expand(base, ExpansionSpec()))
+    assert ds.X.shape == (n, m + m * (m - 1) // 2 + m)
+    assert peak <= 2.5 * ds.X.nbytes

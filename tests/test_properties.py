@@ -15,8 +15,10 @@ tables alike; the normal-equation ``estimate_sigma2`` against the
 SVD least-squares fit, on collinear, high-R^2 and raw pools; the rank
 floors of the sweep and of ``estimate_sigma2`` on raw pools whose
 columns are in units up to 10^12 apart; the column-blocked
-``standardize`` against the whole-matrix formula, bit for bit; and
-``standardize`` on constant columns of any finite value.
+``standardize`` against the whole-matrix formula, bit for bit;
+``standardize`` on constant columns of any finite value; and
+``minimax_summary`` against a per-label sort and ``np.mean``, bit for
+bit.
 """
 
 import tempfile
@@ -43,6 +45,7 @@ from stepfdr.regress import (
     standardize,
 )
 from stepfdr.selector import RULES, choose_size, method_label, parse_method, stop
+from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, minimax_summary
 
 EPS = np.finfo(float).eps
 
@@ -556,3 +559,33 @@ def _dataset_from_lines(path):
     keep = [j for j, name in enumerate(header) if name != "Y"]
     return Dataset(y=table[:, header.index("Y")], X=table[:, keep],
                    names=tuple(header[j] for j in keep))
+
+
+def _reference_minimax(outcomes, worst_k):
+    """The per-label summary: each label's losses sorted as a list, then np.mean."""
+    out = {}
+    for label in [mo.label for mo in outcomes[0].methods]:
+        losses = sorted((o.loss(label) for o in outcomes), reverse=True)
+        out[label] = float(np.mean(losses if worst_k == "ALL" else losses[:worst_k]))
+    return out
+
+
+# Losses drawn from a handful of values tie often; k runs past the cell
+# count and through numpy's 8-wide unrolled sums (8, 9, 16, 17).
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), cells=st.integers(1, 40), methods=st.integers(1, 6),
+       ties=st.booleans())
+def test_minimax_summary_matches_per_label_sort(data, cells, methods, ties):
+    loss = (st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.1]) if ties
+            else st.floats(1.0, 10.0, allow_nan=False))
+    labels = [f"method{i}" for i in range(methods)]
+    configs = [SimConfig(m=20, rho=0.0, beta_type=1, p_index=1, seed=j) for j in range(cells)]
+    outcomes = []
+    for config in configs:
+        order = data.draw(st.permutations(labels))
+        outcomes.append(ConfigOutcome(config, 1.0, tuple(
+            MethodOutcome(label, 1.0, data.draw(loss), 0.0) for label in order)))
+    for worst_k in [*range(1, cells + 3), 8, 9, 16, 17, "ALL"]:
+        got = minimax_summary(outcomes, worst_k)
+        assert list(got) == [mo.label for mo in outcomes[0].methods]
+        assert got == _reference_minimax(outcomes, worst_k)

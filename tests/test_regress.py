@@ -61,6 +61,21 @@ class TestStandardize:
         with pytest.raises(DegenerateColumnError, match="const"):
             standardize(ds)
 
+    @pytest.mark.parametrize("column", [
+        np.tile([1e200, -1e200], 25),  # mean 0: was scaled to zeros
+        1e200 * np.random.default_rng(2).standard_normal(50),  # was called constant
+        np.tile([1.7e308, -1.7e308], 25),  # the mean overflows too
+    ], ids=["alternating", "normal", "past-the-mean"])
+    def test_overflowing_column_rejected_by_name(self, column):
+        X = np.column_stack([np.arange(50.0), column])
+        ds = Dataset(y=np.arange(50.0), X=X, names=("a", "big"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="column 'big' is too large to standardize") \
+                    as info:
+                standardize(ds)
+        assert not isinstance(info.value, DegenerateColumnError)
+
 
 class TestLeastSquares:
     def test_matches_numpy_lstsq(self):

@@ -11,6 +11,7 @@ from stepfdr.regress import forward_sweep
 from stepfdr.selector import parse_method
 from stepfdr.selfcheck import explicit_projection_mspe
 from stepfdr.simlab import (
+    ConfigOutcome,
     MethodOutcome,
     SimConfig,
     gen_beta,
@@ -287,6 +288,12 @@ class TestSummaries:
             minimax_summary([], 1)
         with pytest.raises(ValueError):
             minimax_summary(self._fake_outcomes(), 0)
+
+    def test_outcome_lacking_a_label_is_named(self):
+        outs = self._fake_outcomes()
+        outs[2] = ConfigOutcome(outs[2].config, 1.0, outs[2].methods[:1])
+        with pytest.raises(ValueError, match="outcome m8_rho\\+0.00_b1_p3 lacks method b"):
+            minimax_summary(outs, 1)
 
     def test_best_q_tables_parse_each_label_once(self, monkeypatch):
         from stepfdr import simlab
