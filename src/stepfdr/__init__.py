@@ -9,9 +9,8 @@ from .penalties import (
     penalty_factor,
     penalty_table,
     step_alpha,
-    step_cost,
 )
-from .quantiles import RandomSource, inverse_normal_cdf, normal_cdf
+from .quantiles import RandomSource, inverse_normal_cdf
 from .regress import (
     Dataset,
     ForwardPath,
@@ -24,7 +23,6 @@ from .selector import (
     RULES,
     SelectionResult,
     msfdr_iterative,
-    penalized_trace,
     select,
     stop,
 )

@@ -38,6 +38,22 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_select(args) -> int:
+    spec, rule = parse_method(_method_token(args))
+    if args.iterative and spec.family != "msfdr":
+        raise ValueError(f"--iterative applies to msfdr only, not {spec.family}")
+    if args.iterative and (rule or args.rule):
+        raise ValueError("--iterative takes no stopping rule (--rule or @rule)")
+    if not args.expand and (args.square_exclude is not None or args.no_interactions):
+        raise ValueError("--square-exclude and --no-interactions need --expand")
+    rule = args.rule or rule
+    sigma2 = None
+    if args.sigma2 and args.sigma2 != "full-model":
+        if not args.sigma2.startswith("known:"):
+            raise ValueError("--sigma2 expects 'full-model' or 'known:<value>'")
+        try:
+            sigma2 = float(args.sigma2.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"--sigma2 {args.sigma2!r}: the known value is not a number") from None
     ds = ingest(args.data, response=args.response)
     if args.expand:
         ds = expand(
@@ -47,17 +63,9 @@ def _cmd_select(args) -> int:
                 include_interactions=not args.no_interactions,
             ),
         )
-    spec, rule = parse_method(_method_token(args))
-    sigma2 = None
-    if args.sigma2 and args.sigma2 != "full-model":
-        if not args.sigma2.startswith("known:"):
-            raise ValueError("--sigma2 expects 'full-model' or 'known:<value>'")
-        sigma2 = float(args.sigma2.split(":", 1)[1])
-    if args.rule:
-        rule = args.rule
 
     path = forward_path(ds, sigma2=sigma2)
-    if spec.family == "msfdr" and args.iterative:
+    if args.iterative:
         res = msfdr_iterative(ds, spec.q, sigma2=sigma2, path=path)
     else:
         res = select(ds, spec, rule=rule, sigma2=sigma2, path=path)

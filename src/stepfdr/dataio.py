@@ -104,7 +104,7 @@ def _parse_lines(path, response: str):
     if not lines:
         raise ValueError(f"{path}: empty file")
     delim = _sniff_delimiter(lines[0])
-    header = [h.strip() for h in lines[0].split(delim)]
+    header = _header_names(path, lines[0], delim)
     if response not in header:
         raise ValueError(f"{path}: response column {response!r} not found in header")
     if len(lines) - 1 < 3:

@@ -23,7 +23,6 @@ __all__ = [
     "PenaltyTable",
     "UnsupportedFamilyError",
     "step_alpha",
-    "step_cost",
     "penalty_factor",
     "penalty_table",
 ]
@@ -44,19 +43,13 @@ class UnsupportedFamilyError(ValueError):
 class PenaltySpec:
     """Tagged choice of penalty family with its parameters.
 
-    ``q`` applies to bh/msfdr/tsfdr, ``p`` to fixed-alpha, ``cap`` is
-    the optional probability ceiling on msfdr step constants and
-    ``c_bm`` the Birge-Massart multiplicative constant.  ``cap_mode``
-    selects where the ceiling applies: ``"subscript"`` caps the
-    quantile subscript at C (the printed form), ``"pvalue"`` caps the
-    step constant itself before halving.
+    ``q`` applies to bh/msfdr/tsfdr, ``p`` to fixed-alpha and ``c_bm``
+    is the Birge-Massart multiplicative constant.
     """
 
     family: str
     q: Optional[float] = None
     p: Optional[float] = None
-    cap: Optional[float] = None
-    cap_mode: str = "subscript"
     c_bm: float = DEFAULT_BM_CONSTANT
 
     def __post_init__(self):
@@ -72,10 +65,6 @@ class PenaltySpec:
                 )
         if self.family == "fixed-alpha" and (self.p is None or not 0.0 < self.p < 1.0):
             raise ValueError("fixed-alpha requires p in (0, 1)")
-        if self.cap is not None and not 0.0 < self.cap < 1.0:
-            raise ValueError("cap must lie in (0, 1)")
-        if self.cap_mode not in ("subscript", "pvalue"):
-            raise ValueError("cap_mode must be 'subscript' or 'pvalue'")
         if self.c_bm <= 0.0:
             raise ValueError("c_bm must be positive")
 
@@ -133,14 +122,7 @@ def step_costs(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
     fam = spec.family
     k = np.arange(1.0, k_max + 1)
     if fam in ("bh", "msfdr", "fixed-alpha"):
-        alpha = _alphas(spec, m, k_max)
-        half = alpha / 2.0
-        if fam == "msfdr" and spec.cap is not None:
-            if spec.cap_mode == "pvalue":
-                half = np.minimum(alpha, spec.cap) / 2.0
-            else:
-                half = np.minimum(half, spec.cap)
-        z = inverse_normal_cdf(1.0 - half)
+        z = inverse_normal_cdf(1.0 - _alphas(spec, m, k_max) / 2.0)
         return z * z
     if fam == "aic":
         return np.full(k_max, 2.0)
@@ -158,13 +140,6 @@ def step_costs(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
     raise UnsupportedFamilyError(
         f"family {spec.family!r} has no standalone penalty (two-stage composition)"
     )
-
-
-def step_cost(spec: PenaltySpec, k: int, m: int) -> float:
-    """Marginal penalty c_k of entering the k-th variable."""
-    if not 1 <= k <= m:
-        raise ValueError(f"model size must lie in [1, {m}], got {k}")
-    return float(step_costs(spec, m, k)[k - 1])
 
 
 def penalty_factor(spec: PenaltySpec, k: int, m: int) -> float:

@@ -1,4 +1,4 @@
-"""Standard-normal quantile/CDF primitives and seeded random streams.
+"""Standard-normal quantiles, p-values and seeded random streams.
 
 The quantile function uses Wichura's PPND16 rational approximation,
 accurate to roughly 1e-16 over the full open unit interval, so it is
@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "inverse_normal_cdf",
-    "normal_cdf",
-    "normal_sf",
     "two_sided_pvalue",
     "RandomSource",
 ]
@@ -126,16 +124,6 @@ def inverse_normal_cdf(p):
     return float(z) if pa.ndim == 0 else z
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def normal_sf(z: float) -> float:
-    """Upper-tail probability P(Z > z)."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
 def two_sided_pvalue(tsq: float) -> float:
     """Two-sided p-value for a squared standardized coefficient."""
     if tsq < 0.0:
@@ -166,8 +154,3 @@ class RandomSource:
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id]))
         )
-
-    def standard_normal_draws(self, count: int) -> np.ndarray:
-        if count < 1:
-            raise ValueError("count must be a positive integer")
-        return self.generator().standard_normal(count)

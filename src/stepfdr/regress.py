@@ -172,9 +172,7 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     if dataset.intercept_forced:
         cols = [np.ones(dataset.n)] + cols
     if not cols:
-        if dataset.standardized:
-            return np.empty(0), float(y @ y)
-        return np.empty(0), float(((y - 0.0) ** 2).sum())
+        return np.empty(0), float(y @ y)
     A = np.column_stack(cols)
     if A.shape[1] >= dataset.n:
         raise ValueError("subset too large for the number of observations")
@@ -186,6 +184,26 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     if dataset.intercept_forced:
         coef = coef[1:]
     return coef, rss
+
+
+def _centered_gram(X: np.ndarray, y: np.ndarray, b: Optional[np.ndarray], center: bool):
+    """The cross-product form of a pool: ``(X, y, b, G, start)``.
+
+    X, y and b (when given) come back centered when ``center`` is set;
+    G = X'X of the returned X, and ``start`` holds each column's squared
+    norm before centering, G's diagonal plus n times its squared mean.
+    Centering is the intercept's sweep step: it leaves a constant column
+    rounding noise, far under ``start``.
+    """
+    if center:
+        means = X.mean(axis=0)
+        X = X - means
+        y = y - y.mean()
+        if b is not None:
+            b = b - b.mean()
+    G = X.T @ X
+    start = G.diagonal() + X.shape[0] * means * means if center else G.diagonal()
+    return X, y, b, G, start
 
 
 def estimate_sigma2(dataset: Dataset) -> float:
@@ -209,12 +227,7 @@ def estimate_sigma2(dataset: Dataset) -> float:
             f"insufficient degrees of freedom: n={dataset.n}, m={dataset.m} "
             "(need n > m + 1 with an intercept)"
         )
-    X, y = dataset.X, dataset.y
-    if dataset.intercept_forced:
-        means = X.mean(axis=0)
-        X = X - means
-        y = y - y.mean()
-    G = X.T @ X
+    X, y, _, G, start = _centered_gram(dataset.X, dataset.y, None, dataset.intercept_forced)
     diag = G.diagonal()
     try:
         L = np.linalg.cholesky(G)
@@ -223,7 +236,7 @@ def estimate_sigma2(dataset: Dataset) -> float:
     else:
         ratio = float((L.diagonal() ** 2 / diag).min())
         if dataset.intercept_forced:
-            ratio = min(ratio, float((diag / (diag + dataset.n * means * means)).min()))
+            ratio = min(ratio, float((diag / start).min()))
     if ratio > RANK_RTOL:
         b = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
         r = y - X @ b
@@ -270,28 +283,18 @@ def forward_sweep(
     centering) never enters, nor does one that centering leaves with
     at most RANK_RTOL of its squared norm; both floors are unit-free.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, m = X.shape
     b = None if true_mean is None else np.asarray(true_mean, dtype=float)
-    if center:
-        means = X.mean(axis=0)
-        X = X - means
-        y = y - y.mean()
-        if b is not None:
-            b = b - b.mean()
+    X, y, b, G, start = _centered_gram(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
+                                       b, center)
+    m = X.shape[1]
 
     # Residual cross-products after k entries: Gram row j is G[j] minus
     # L[:k, j] @ L[:k], where row l of L is the l-th entered column's
     # residual Gram row divided by the square root of its pivot.
-    G = X.T @ X
     scores = X.T @ y  # X'r for the current residual r
     # Residual squared column norms; inf marks entered or degenerate columns.
     norms2 = G.diagonal().copy()
     floor = RANK_RTOL * norms2
-    # Centering is the intercept's sweep step: it leaves a constant column
-    # rounding noise, far under the column's own squared norm.
-    start = norms2 + n * means * means if center else norms2
     norms2[norms2 <= RANK_RTOL * start] = math.inf
     rss0 = float(y @ y)
     tol = RANK_RTOL * rss0
@@ -333,23 +336,19 @@ def forward_sweep(
     return order, np.array(rss), bias_arr
 
 
-def forward_path(
-    dataset: Dataset,
-    sigma2: Optional[float] = None,
-    k_max: Optional[int] = None,
-) -> ForwardPath:
+def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPath:
     """Run forward selection on a dataset and attach the sigma2 scale.
 
-    ``sigma2=None`` estimates it from the full model; a positive value
-    is used as a known variance.
+    The path runs until no candidate is left or one more entry would
+    leave no residual degree of freedom.  ``sigma2=None`` estimates the
+    scale from the full model; a positive value is used as a known
+    variance.
     """
     if not (dataset.standardized or dataset.intercept_forced):
         raise ValueError("dataset must be standardized or carry a forced intercept")
-    cap = min(dataset.m, dataset.n - 1 - (1 if dataset.has_intercept else 0))
-    if k_max is None:
-        k_max = cap
-    if not 1 <= k_max <= cap:
-        raise ValueError(f"k_max must lie in [1, {cap}], got {k_max}")
+    k_max = min(dataset.m, dataset.n - 1 - (1 if dataset.has_intercept else 0))
+    if k_max < 1:
+        raise ValueError(f"n={dataset.n} leaves no room for one entry")
     if sigma2 is None:
         s2 = estimate_sigma2(dataset)
         source = "estimated-from-full-model"

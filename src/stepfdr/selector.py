@@ -19,7 +19,6 @@ from .regress import Dataset, ForwardPath, forward_path, least_squares
 __all__ = [
     "RULES",
     "SelectionResult",
-    "penalized_trace",
     "stop",
     "choose_size",
     "select",
@@ -48,23 +47,26 @@ _LEVEL_FIELDS = {"bh": "q", "msfdr": "q", "tsfdr": "q", "fixed-alpha": "p", "bm"
 
 def parse_method(token: str) -> Tuple[PenaltySpec, Optional[str]]:
     """Parse "family[:level][@rule]" into a penalty spec and rule override."""
-    token, at, rule = token.strip().partition("@")
+    base, at, rule = token.strip().partition("@")
     if at and rule not in RULES:
         raise ValueError(f"unknown stopping rule {rule!r}")
-    fam, _, level = token.partition(":")
+    fam, _, level = base.partition(":")
     fam = fam.lower()
     field = _LEVEL_FIELDS.get(fam)
-    spec = PenaltySpec(fam, **({field: float(level)} if field and level else {}))
+    try:
+        levels = {field: float(level)} if field and level else {}
+    except ValueError:
+        raise ValueError(f"method {token.strip()!r}: level {level!r} is not a number") from None
+    spec = PenaltySpec(fam, **levels)
     if level and field is None:
-        raise ValueError(f"{fam} takes no level, got {token!r}")
+        raise ValueError(f"{fam} takes no level, got {base!r}")
     return spec, rule or None
 
 
 def method_label(spec: PenaltySpec, rule: Optional[str]) -> Tuple[str, str]:
     """(effective rule, method token): a non-default rule is appended as "@rule".
 
-    ``parse_method`` reads the token back as the same spec and rule,
-    except for a ``cap``, which tokens cannot express.
+    ``parse_method`` reads the token back as the same spec and rule.
     """
     eff = rule if rule is not None else default_rule(spec)
     label = spec.label() if eff == default_rule(spec) else f"{spec.label()}@{eff}"
@@ -89,11 +91,6 @@ class SelectionResult:
     @property
     def k_with_intercept(self) -> int:
         return self.k_selected + (1 if self.intercept_counted else 0)
-
-
-def penalized_trace(path: ForwardPath, spec: PenaltySpec, m: int) -> np.ndarray:
-    """trace(k) = RSS_k + sigma2 * k * lambda_{k,m} for k = 0..K."""
-    return choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))[0]
 
 
 def stop(trace: np.ndarray, rule: str) -> int | np.ndarray:
@@ -196,7 +193,6 @@ def msfdr_iterative(
     q: float,
     sigma2: Optional[float] = None,
     path: Optional[ForwardPath] = None,
-    max_iterations: int = 10_000,
 ) -> SelectionResult:
     """Fixed-point computation of the multiple-stage procedure.
 
@@ -205,7 +201,7 @@ def msfdr_iterative(
     back as the next index until it stabilizes.  When an intercept is
     in play it occupies position 1 of the size counter, so the counter
     is (entered candidates) + 1 while the pool size m counts candidates
-    only.
+    only.  The index strictly rises until it stops, so the loop ends.
     """
     spec = PenaltySpec("msfdr", q=q)
     if path is None:
@@ -222,11 +218,9 @@ def msfdr_iterative(
         run = 0
         while run < path.depth and pvals[run] <= alpha:
             run += 1
-        i_next = run + offset
-        if i_next == i or i_next < i or iterations >= max_iterations:
-            k = min(run, path.depth)
+        if run + offset <= i:
             break
-        i = i_next
+        i = run + offset
 
-    trace = penalized_trace(path, spec, m)
-    return _finish(dataset, path, spec, "iterative-p-to-enter", trace, k, iterations)
+    trace, _ = choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))
+    return _finish(dataset, path, spec, "iterative-p-to-enter", trace, run, iterations)

@@ -85,7 +85,7 @@ def run(instances: int = 500, seed: int = 20090194) -> list:
 
         signal = X @ beta
         ord2, _, bias = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
-        prefix = path_prefix_mspe(bias, 1.0, intercept=True)
+        prefix = path_prefix_mspe(bias, 1.0)
         k_star, v_star = random_oracle(prefix)
         exhaustive = np.array([
             explicit_projection_mspe(X, beta, ord2[:k], 1.0) for k in range(len(ord2) + 1)

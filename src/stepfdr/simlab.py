@@ -110,12 +110,6 @@ class ConfigOutcome:
     #: every method picks a prefix of the array the oracle minimizes)
     dominance_violations: int = 0
 
-    def loss(self, label: str) -> float:
-        for mo in self.methods:
-            if mo.label == label:
-                return mo.relative_loss
-        raise KeyError(label)
-
 
 _RHO_CODES = {-0.5: 0, 0.0: 1, 0.5: 2}
 
@@ -203,8 +197,9 @@ def random_oracle(prefix_mspe: np.ndarray) -> tuple:
     return k, best
 
 
-def path_prefix_mspe(bias: np.ndarray, sigma2: float, intercept: bool = True) -> np.ndarray:
-    ks = np.arange(np.shape(bias)[-1]) + (1 if intercept else 0)
+def path_prefix_mspe(bias: np.ndarray, sigma2: float) -> np.ndarray:
+    """Theoretical MSPE of each prefix: sigma2 per parameter (intercept included) plus bias."""
+    ks = np.arange(np.shape(bias)[-1]) + 1
     return sigma2 * ks + bias
 
 
@@ -239,7 +234,7 @@ def run_config(
         _, rss_r, bias_r = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
         rss[r, :len(rss_r)] = rss_r
         bias[r, :len(bias_r)] = bias_r
-    prefix = path_prefix_mspe(bias, sigma2, intercept=True)
+    prefix = path_prefix_mspe(bias, sigma2)
     _, oracle_vals = random_oracle(prefix)
 
     outs = []

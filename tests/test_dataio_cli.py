@@ -501,6 +501,48 @@ class TestCli:
         assert captured.err == ("error: column 'big' is too large to standardize: "
                                 "its squared length overflows\n")
 
+    def _select(self, *flags):
+        return main(["select", "--data", diabetes_path(), "--response", "Y", *flags])
+
+    def test_select_rejects_iterative_for_another_family(self, capsys):
+        # Without the check, bh would run plain and the flag be ignored.
+        assert self._select("--method", "bh:0.05", "--iterative") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --iterative applies to msfdr only, not bh\n"
+
+    @pytest.mark.parametrize("flags", [["--method", "msfdr:0.05@global-min"],
+                                       ["--method", "msfdr:0.05", "--rule", "global-min"]])
+    def test_select_rejects_iterative_with_a_rule(self, capsys, flags):
+        assert self._select(*flags, "--iterative") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --iterative takes no stopping rule (--rule or @rule)\n"
+
+    @pytest.mark.parametrize("flags", [["--square-exclude", "SEX"], ["--square-exclude"],
+                                       ["--no-interactions"]])
+    def test_select_rejects_expansion_flags_without_expand(self, capsys, flags):
+        assert self._select("--method", "aic", *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --square-exclude and --no-interactions need --expand\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "msfdr:abc"], "method 'msfdr:abc': level 'abc' is not a number"),
+        (["--method", "bm:1e3x@global-min"], "method 'bm:1e3x@global-min': level '1e3x' is not"),
+        (["--method", "msfdr:0.05", "--sigma2", "known:x"],
+         "--sigma2 'known:x': the known value is not a number"),
+    ])
+    def test_select_names_the_source_of_a_malformed_number(self, capsys, flags, message):
+        assert self._select(*flags) == 1
+        assert message in capsys.readouterr().err
+
+    def test_simulate_names_a_malformed_method_level(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho = 0\nmethods = aic,msfdr:0.o5\n")
+        rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "method 'msfdr:0.o5': level '0.o5' is not a number" in capsys.readouterr().err
+
     def test_summarize_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -14,7 +14,6 @@ from stepfdr.penalties import (
     penalty_factor,
     penalty_table,
     step_alpha,
-    step_cost,
     step_costs,
 )
 
@@ -27,6 +26,11 @@ def _spec(family):
     if family == "fixed-alpha":
         return PenaltySpec(family, p=0.05)
     return PenaltySpec(family)
+
+
+def step_cost(spec, k, m):
+    """The k-th marginal cost c_k of a pool of m candidates."""
+    return float(step_costs(spec, m, k)[k - 1])
 
 
 class TestPenaltySpec:
@@ -49,11 +53,7 @@ class TestPenaltySpec:
         with pytest.warns(UserWarning, match="q >= 0.5"):
             PenaltySpec("msfdr", q=0.6)
 
-    def test_cap_and_constant_validation(self):
-        with pytest.raises(ValueError):
-            PenaltySpec("msfdr", q=0.05, cap=1.5)
-        with pytest.raises(ValueError):
-            PenaltySpec("msfdr", q=0.05, cap_mode="sideways")
+    def test_constant_validation(self):
         with pytest.raises(ValueError):
             PenaltySpec("bm", c_bm=0.0)
 
@@ -145,23 +145,6 @@ class TestStepCostFactorConsistency:
             spec = PenaltySpec("bm", c_bm=c)
             ref = k * 2 * math.log(c * m / k) - (k - 1) * 2 * math.log(c * m / (k - 1))
             assert step_cost(spec, k, m) == pytest.approx(ref)
-
-    def test_msfdr_cap_modes(self):
-        m = 400
-        free = PenaltySpec("msfdr", q=0.25)
-        # At the top of the path the step constant can exceed the ceiling.
-        a_top = step_alpha(free, m, m)
-        assert a_top / 2.0 > 0.05
-        capped_sub = PenaltySpec("msfdr", q=0.25, cap=0.05)
-        capped_pv = PenaltySpec("msfdr", q=0.25, cap=0.05, cap_mode="pvalue")
-        assert step_cost(capped_sub, m, m) == pytest.approx(
-            st.norm.ppf(1 - 0.05) ** 2, rel=1e-10
-        )
-        assert step_cost(capped_pv, m, m) == pytest.approx(
-            st.norm.ppf(1 - 0.025) ** 2, rel=1e-10
-        )
-        # Early steps, where the constant is tiny, are unaffected.
-        assert step_cost(capped_sub, 1, m) == pytest.approx(step_cost(free, 1, m))
 
     def test_gf_negative_beyond_half(self):
         m = 21

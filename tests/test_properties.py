@@ -8,7 +8,8 @@ full-depth entry orders against the orders the residual-matrix
 (Gram-Schmidt) sweep produced; the array quantile function against
 its scalar form; the penalty algebra of every family, and each
 table's lambda_k against the mean of its prefix of costs; the batched
-trace-to-size function against one call per path; method tokens
+trace-to-size function against one call per path; the penalized
+trace against the p-to-enter test it encodes; method tokens
 read back as the spec and rule they were written from; ``ingest``
 against the line-by-line parser it falls back to, on clean and broken
 tables alike; the normal-equation ``estimate_sigma2`` against the
@@ -32,8 +33,8 @@ from hypothesis import strategies as st
 
 from stepfdr import regress
 from stepfdr.dataio import _load_numeric, _parse_lines, ingest
-from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_cost, step_costs
-from stepfdr.quantiles import inverse_normal_cdf
+from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_alpha, step_costs
+from stepfdr.quantiles import inverse_normal_cdf, two_sided_pvalue
 from stepfdr.regress import (
     RANK_RTOL,
     Dataset,
@@ -44,7 +45,7 @@ from stepfdr.regress import (
     least_squares,
     standardize,
 )
-from stepfdr.selector import RULES, choose_size, method_label, parse_method, stop
+from stepfdr.selector import RULES, choose_size, default_rule, method_label, parse_method, stop
 from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, minimax_summary
 
 EPS = np.finfo(float).eps
@@ -427,7 +428,6 @@ def test_penalty_algebra(family, level, m):
     klam = np.arange(1, m + 1) * table.lam
     assert np.diff(klam, prepend=0.0) == pytest.approx(costs, rel=1e-9, abs=1e-9)
     for k in {1, (m + 1) // 2, m}:
-        assert step_cost(spec, k, m) == costs[k - 1]
         assert step_costs(spec, m, k).tolist() == costs[:k].tolist()
 
 
@@ -472,6 +472,31 @@ def test_batched_size_matches_one_path_at_a_time(data, m, nrows, rule, spec):
         assert np.all(traces[i, depth + 1:] == np.inf)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), extra=st.integers(2, 20),
+       log_sigma2=st.floats(-3.0, 1.0),
+       spec=st.sampled_from([PenaltySpec("bh", q=0.05), PenaltySpec("bh", q=0.4),
+                             PenaltySpec("msfdr", q=0.05), PenaltySpec("msfdr", q=0.3),
+                             PenaltySpec("fixed-alpha", p=0.05),
+                             PenaltySpec("fixed-alpha", p=0.5)]))
+def test_trace_rises_exactly_when_the_entry_test_fails(seed, m, extra, log_sigma2, spec):
+    # Penalized <=> testing: trace(k) - trace(k-1) = sigma2 * (c_k - tsq_k)
+    # and c_k = z(alpha_k / 2)^2, so the trace rises at step k exactly
+    # when the entering term's two-sided p-value exceeds alpha_k.  Steps
+    # within rounding of a tie on either side are skipped.
+    X, y = _pool(seed, m, m + extra, log_cond=1.0)
+    ds = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(m))))
+    path = forward_path(ds, sigma2=10.0**log_sigma2)
+    trace, _ = choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))
+    scale = float(np.abs(trace).max())
+    for k, tsq in enumerate(path.tsq.tolist(), 1):
+        rise = trace[k] - trace[k - 1]
+        p, alpha = two_sided_pvalue(max(tsq, 0.0)), step_alpha(spec, k, m)
+        if abs(rise) <= 1e-12 * scale or abs(p - alpha) <= 1e-6 * alpha:
+            continue
+        assert (rise > 0) == (p > alpha), (k, tsq, p, alpha)
+
+
 # Levels whose :g form loses digits (0.05000001, 1234567) are included.
 _Q_LEVELS = st.one_of(st.sampled_from([0.05, 0.05000001, 0.1, 1.0 / 3.0]), st.floats(1e-9, 0.49))
 _BM_CONSTANTS = st.one_of(st.sampled_from([2000.0, 5.0, 1234567.0, 1234568.0]),
@@ -482,7 +507,6 @@ _BM_CONSTANTS = st.one_of(st.sampled_from([2000.0, 5.0, 1234567.0, 1234568.0]),
 @given(family=st.sampled_from(FAMILIES), level=_Q_LEVELS, c_bm=_BM_CONSTANTS,
        rule=st.sampled_from((None,) + RULES))
 def test_method_tokens_round_trip(family, level, c_bm, rule):
-    # Specs with a cap are left out: tokens cannot express it.
     levels = {"bh": {"q": level}, "msfdr": {"q": level}, "tsfdr": {"q": level},
               "fixed-alpha": {"p": level}, "bm": {"c_bm": c_bm}}
     spec = PenaltySpec(family, **levels.get(family, {}))
@@ -565,7 +589,8 @@ def _reference_minimax(outcomes, worst_k):
     """The per-label summary: each label's losses sorted as a list, then np.mean."""
     out = {}
     for label in [mo.label for mo in outcomes[0].methods]:
-        losses = sorted((o.loss(label) for o in outcomes), reverse=True)
+        losses = sorted((next(mo.relative_loss for mo in o.methods if mo.label == label)
+                         for o in outcomes), reverse=True)
         out[label] = float(np.mean(losses if worst_k == "ALL" else losses[:worst_k]))
     return out
 

@@ -1,0 +1,46 @@
+"""The public surface stays consistent: each module's ``__all__`` names
+only what the module defines, and the package re-exports only names
+that its source module's ``__all__`` lists.
+
+Re-exports are read from the syntax tree of ``stepfdr/__init__``, so a
+name imported there from a module that stopped listing it is caught.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import stepfdr
+
+PACKAGE = Path(stepfdr.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _reexports():
+    """(module, name) for every relative ``from .module import name`` in the package."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_modules_with_an_all_are_covered():
+    listed = {name for name in MODULES
+              if hasattr(importlib.import_module(f"stepfdr.{name}"), "__all__")}
+    assert {"dataio", "penalties", "quantiles", "regress", "selector", "simlab"} <= listed
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_exists(name):
+    module = importlib.import_module(f"stepfdr.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_listed_names():
+    pairs = _reexports()
+    assert len(pairs) > 20  # the scan saw the import lists
+    unlisted = [f"{module}.{name}" for module, name in pairs
+                if name not in importlib.import_module(f"stepfdr.{module}").__all__]
+    assert unlisted == []

@@ -1,4 +1,4 @@
-"""Normal quantile/CDF primitives checked against scipy and each other."""
+"""Normal quantile and p-value primitives checked against scipy and each other."""
 
 import math
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from stepfdr.quantiles import (
-    RandomSource,
-    inverse_normal_cdf,
-    normal_cdf,
-    normal_sf,
-    two_sided_pvalue,
-)
+from stepfdr.quantiles import RandomSource, inverse_normal_cdf, two_sided_pvalue
 
 
 class TestInverseNormalCdf:
@@ -28,7 +22,7 @@ class TestInverseNormalCdf:
             assert math.isfinite(z)
             # Round trip through the CDF where it is representable.
             if p >= 1e-15:
-                assert normal_cdf(z) == pytest.approx(p, rel=1e-9)
+                assert 0.5 * math.erfc(-z / math.sqrt(2.0)) == pytest.approx(p, rel=1e-9)
 
     def test_symmetry(self):
         for p in (0.001, 0.023, 0.2, 0.49):
@@ -46,10 +40,6 @@ class TestInverseNormalCdf:
 
 
 class TestCdfAndPvalues:
-    def test_cdf_sf_complement(self):
-        for z in np.linspace(-8, 8, 33):
-            assert normal_cdf(z) + normal_sf(z) == pytest.approx(1.0, abs=1e-15)
-
     def test_two_sided_pvalue_matches_scipy(self):
         for tsq in (0.0, 0.5, 1.0, 3.84, 10.0, 40.0):
             ref = 2.0 * st.norm.sf(math.sqrt(tsq))
@@ -68,13 +58,13 @@ class TestCdfAndPvalues:
 
 class TestRandomSource:
     def test_reproducible(self):
-        a = RandomSource(123, 4).standard_normal_draws(32)
-        b = RandomSource(123, 4).standard_normal_draws(32)
+        a = RandomSource(123, 4).generator().standard_normal(32)
+        b = RandomSource(123, 4).generator().standard_normal(32)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RandomSource(123, 0).standard_normal_draws(32)
-        b = RandomSource(123, 1).standard_normal_draws(32)
+        a = RandomSource(123, 0).generator().standard_normal(32)
+        b = RandomSource(123, 1).generator().standard_normal(32)
         assert not np.array_equal(a, b)
 
     def test_substream_deterministic(self):
@@ -83,7 +73,3 @@ class TestRandomSource:
         assert s1 == s2
         s3 = RandomSource(7).substream(1, 2, 4)
         assert s1 != s3
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            RandomSource(0).standard_normal_draws(0)

@@ -12,7 +12,6 @@ from stepfdr.selector import (
     choose_size,
     default_rule,
     msfdr_iterative,
-    penalized_trace,
     select,
     stop,
 )
@@ -61,7 +60,7 @@ class TestPenalizedTrace:
         ds = _orthogonal_dataset([0.001, 0.01, 0.2, 0.6])
         path = forward_path(ds, sigma2=1.0)
         spec = PenaltySpec("msfdr", q=0.05)
-        trace = penalized_trace(path, spec, ds.m)
+        trace, _ = choose_size(path.rss, path.sigma2, spec, ds.m, default_rule(spec))
         costs = step_costs(spec, ds.m, path.depth)
         ref = path.rss.copy()
         ref[1:] += np.cumsum(costs)  # sigma2 = 1

@@ -173,7 +173,6 @@ class TestMspeAndOracle:
     def test_path_prefix_mspe(self):
         bias = np.array([10.0, 4.0, 1.0])
         assert np.allclose(path_prefix_mspe(bias, 2.0), [12.0, 8.0, 7.0])
-        assert np.allclose(path_prefix_mspe(bias, 2.0, intercept=False), [10.0, 6.0, 5.0])
 
 
 class TestRunConfig:
@@ -249,9 +248,10 @@ class TestRunConfig:
         cfg = SimConfig(m=8, rho=0.0, beta_type=1, p_index=4,
                         replications=20, seed=9)
         out = run_config(cfg, METHODS)
-        assert out.loss("aic") == out.methods[1].relative_loss
-        with pytest.raises(KeyError):
-            out.loss("nope")
+        # The loss filed under a label is that method's MSPE over the oracle's.
+        for label in ("msfdr:0.05", "aic", "tk"):
+            mo = next(mo for mo in out.methods if mo.label == label)
+            assert mo.relative_loss == mo.mean_mspe / out.oracle_mspe
 
 
 class TestSummaries:
