@@ -9,6 +9,7 @@ Subcommands: ``select`` (dataset selection report), ``penalty-table``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import os
@@ -97,7 +98,9 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_penalty_table(args) -> int:
-    spec, _ = parse_method(_method_token(args))
+    spec, rule = parse_method(_method_token(args))
+    if rule:
+        raise ValueError(f"penalty-table takes no stopping rule, got {args.method!r}")
     table = penalty_table(spec, args.m, args.kmax)
     head = f"{spec.label()}\t{table.m}\t"
     # One pass over Python floats (a != a marks a nan): indexing the
@@ -151,11 +154,18 @@ def _config_text(name: str, value) -> str:
 
 
 def _config_value(name: str, text: str):
-    """Parse a config value by its field's declared type ("auto" where allowed)."""
+    """Parse a config value by its field's declared type ("auto" where allowed).
+
+    A malformed value is reported with the field's name.
+    """
     kind = _CONFIG_TYPES[name]
-    if kind is int:
-        return int(text)
-    return "auto" if kind is not float and text == "auto" else float(text)
+    if kind not in (int, float) and text == "auto":
+        return "auto"
+    try:
+        return int(text) if kind is int else float(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name}: {text!r} is not {what}") from None
 
 
 # Grid axes with their default lists, and the scalar keys, whose
@@ -314,19 +324,16 @@ def _cmd_simulate(args) -> int:
             print(f"rerun {config.key()}: result file holds {reason}")
         pending.append(config)
     workers = args.workers or os.cpu_count() or 1
-    if workers > 1 and len(pending) > 1:
-        # Imported here: loading it pulls in multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if workers > 1 and len(pending) > 1:
+            # Imported here: loading it pulls in multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_run_one, [(c, methods) for c in pending]):
-                write_outcome(outcome, out_dir)
-                print(f"done {outcome.config.key()}")
-    else:
-        for config in pending:
-            outcome = run_config(config, methods)
+            run_all = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for outcome in run_all(_run_one, [(c, methods) for c in pending]):
             write_outcome(outcome, out_dir)
-            print(f"done {config.key()}")
+            print(f"done {outcome.config.key()}")
     print(f"{len(pending)} configuration(s) run, {len(grid) - len(pending)} skipped")
     return 0
 
@@ -448,10 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _method_token(args) -> str:
+    """``--method`` with ``--q`` as its level, placed before any ``@rule``."""
     token = args.method
-    if getattr(args, "q", None) is not None and ":" not in token:
-        token = f"{token}:{args.q}"
-    return token
+    if args.q is None:
+        return token
+    base, at, rule = token.partition("@")
+    if ":" in base:
+        raise ValueError(f"--q {args.q} given, but method {token!r} already has a level")
+    return f"{base}:{args.q}{at}{rule}"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

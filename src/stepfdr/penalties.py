@@ -96,7 +96,8 @@ def _alphas(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
 
     BH constants run past k = m (up to just below 1): the two-stage
     procedure's second stage applies them over the whole path with the
-    pool shrunk to m - r1.
+    pool shrunk to m - r1.  msfdr's reach k = m + 1 (alpha = 1), the
+    iterative procedure's index when an intercept is counted.
     """
     k = np.arange(1.0, k_max + 1)
     if spec.family == "bh":

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .penalties import PenaltySpec, step_costs
+from .penalties import PenaltySpec, _alphas, step_costs
 from .quantiles import two_sided_pvalue
 from .regress import Dataset, ForwardPath, forward_path, least_squares
 
@@ -196,12 +196,13 @@ def msfdr_iterative(
 ) -> SelectionResult:
     """Fixed-point computation of the multiple-stage procedure.
 
-    Repeatedly runs forward selection at a constant p-to-enter
-    alpha_i = i*q/(m + 1 - i*(1 - q)), feeding the resulting model size
-    back as the next index until it stabilizes.  When an intercept is
-    in play it occupies position 1 of the size counter, so the counter
-    is (entered candidates) + 1 while the pool size m counts candidates
-    only.  The index strictly rises until it stops, so the loop ends.
+    Repeatedly runs forward selection at a constant p-to-enter, the
+    msfdr step constant alpha_i = i*q/(m + 1 - i*(1 - q)), feeding the
+    resulting model size back as the next index until it stabilizes.
+    When an intercept is in play it occupies position 1 of the size
+    counter, so the counter is (entered candidates) + 1, up to m + 1,
+    while the pool size m counts candidates only.  The index strictly
+    rises until it stops, so the loop ends.
     """
     spec = PenaltySpec("msfdr", q=q)
     if path is None:
@@ -209,14 +210,14 @@ def msfdr_iterative(
     m = dataset.m
     offset = 1 if path.intercept_forced else 0
     pvals = np.array([two_sided_pvalue(t) for t in np.maximum(path.tsq, 0.0)])
+    alphas = _alphas(spec, m, m + 1).tolist()
 
     i = 1
     iterations = 0
     while True:
         iterations += 1
-        alpha = i * q / (m + 1 - i * (1.0 - q))
         run = 0
-        while run < path.depth and pvals[run] <= alpha:
+        while run < path.depth and pvals[run] <= alphas[i - 1]:
             run += 1
         if run + offset <= i:
             break

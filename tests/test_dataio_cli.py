@@ -211,6 +211,15 @@ class TestOutcomeRoundTrip:
             read_outcome(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_malformed_config_value_is_rejected_by_field(self, tmp_path):
+        cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
+        path = write_outcome(ConfigOutcome(cfg, 0.1, (MethodOutcome("aic", 1.5, 2.0, 0.25),)),
+                             tmp_path)
+        path.write_text(path.read_text().replace("# replications\t5", "# replications\t5.0"))
+        with pytest.raises(ValueError) as info:
+            read_outcome(path)
+        assert str(info.value) == f"{path}: replications: '5.0' is not an integer"
+
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
         first = run_config(cfg, [(PenaltySpec("aic"), None)])
@@ -542,6 +551,61 @@ class TestCli:
         rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "method 'msfdr:0.o5': level '0.o5' is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("rho = abc", "rho: 'abc' is not a number"),
+        ("m = 8,x", "m: 'x' is not an integer"),
+        ("replications = x", "replications: 'x' is not an integer"),
+        ("effect_target = 3y", "effect_target: '3y' is not a number"),
+        ("c_scale = big", "c_scale: 'big' is not a number"),
+    ], ids=["grid-float", "grid-int", "scalar-int", "scalar-float", "scalar-auto"])
+    def test_simulate_names_the_key_of_a_malformed_value(self, capsys, tmp_path, line, message):
+        # The last line sets its key, overriding the one above.
+        cfgfile = _write(tmp_path, "c.txt", f"m = 8\nrho = 0\nreplications = 5\n{line}\n")
+        out_dir = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(out_dir.glob("*.tsv"))
+
+    @pytest.mark.parametrize("command", ["select", "penalty-table"])
+    def test_q_is_rejected_for_a_token_with_a_level(self, capsys, command):
+        # Without the check, the token's 0.1 would run and --q be ignored.
+        argv = {"select": ["select", "--data", diabetes_path(), "--response", "Y"],
+                "penalty-table": ["penalty-table", "--m", "20"]}[command]
+        assert main(argv + ["--method", "msfdr:0.1", "--q", "0.05"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --q 0.05 given, but method 'msfdr:0.1' "
+                                "already has a level\n")
+
+    def test_q_is_the_level_of_a_token_with_a_rule(self, capsys):
+        argv = ["select", "--data", diabetes_path(), "--response", "Y"]
+        assert main(argv + ["--method", "msfdr:0.05@global-min"]) == 0
+        want = capsys.readouterr().out
+        assert main(argv + ["--method", "msfdr@global-min", "--q", "0.05"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_penalty_table_rejects_a_rule(self, capsys):
+        # Without the check, the table would print as for msfdr:0.05.
+        assert main(["penalty-table", "--method", "msfdr:0.05@global-min", "--m", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: penalty-table takes no stopping rule, "
+                                "got 'msfdr:0.05@global-min'\n")
+
+    def test_simulate_with_workers_matches_a_serial_run(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt", "seed = 3\nreplications = 10\nm = 8\nrho = 0\n"
+                                            "beta_type = 1\np_index = 1,2,4\nmethods = aic,bm\n")
+        runs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir),
+                         "--workers", workers]) == 0
+            runs.append((capsys.readouterr().out,
+                         {f.name: f.read_bytes() for f in sorted(out_dir.glob("*.tsv"))}))
+        assert runs[0] == runs[1]
+        assert runs[0][0].count("done ") == 3 and len(runs[0][1]) == 3
 
     def test_summarize_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -385,8 +385,8 @@ def test_standardize_tall_columns_match_whole_matrix_formula(order):
     _standardize_check(*_raw_columns(np.random.default_rng(3), 20_000, 7, order))
 
 
-# PPND16 regions: central |p - 0.5| <= 0.425, intermediate down to
-# p ~ 1.4e-11 (r <= 5), far tail beyond; each side of 0.5.
+# The three AS241 regions: central |p - 0.5| <= 0.425, intermediate down
+# to p ~ 1.4e-11 (r <= 5), far tail beyond; each side of 0.5.
 _REGIONS = [(0.075, 0.925), (1.4e-11, 0.075), (1e-300, 1.4e-11),
             (0.925, 1.0 - 1e-15)]
 

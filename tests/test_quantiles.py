@@ -35,8 +35,11 @@ class TestInverseNormalCdf:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
     def test_domain_errors(self, p):
-        with pytest.raises(ValueError):
-            inverse_normal_cdf(p)
+        message = f"probability must lie in the open interval (0, 1), got {p!r}"
+        for arg in (p, np.array([0.5, p]), np.array([[0.2], [p]])):
+            with pytest.raises(ValueError) as info:
+                inverse_normal_cdf(arg)
+            assert str(info.value) == message
 
 
 class TestCdfAndPvalues:
