@@ -17,10 +17,10 @@ import sys
 import typing
 from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .dataio import ExpansionSpec, expand, ingest
-from .penalties import PenaltySpec, penalty_table
+from .penalties import penalty_table
 from .regress import forward_path
 from .selector import RULES, method_label, msfdr_iterative, parse_method, select
 from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_tables, minimax_summary,
@@ -40,6 +40,8 @@ def _fmt(v: float) -> str:
 
 def _cmd_select(args) -> int:
     spec, rule = parse_method(_method_token(args))
+    if args.rule and rule:
+        raise ValueError(f"--rule {args.rule} given, but method {args.method!r} already has a rule")
     if args.iterative and spec.family != "msfdr":
         raise ValueError(f"--iterative applies to msfdr only, not {spec.family}")
     if args.iterative and (rule or args.rule):
@@ -127,18 +129,22 @@ def _cmd_penalty_table(args) -> int:
 def read_campaign_file(path) -> dict:
     """Parse the `key = value` campaign format (lists comma-separated).
 
-    Keys are those of ``campaign_grid``.  Lines starting with '#' are
-    comments.
+    Keys are those of ``campaign_grid``, each given once.  Lines
+    starting with '#' are comments.
     """
     cfg: dict = {}
-    for ln in Path(path).read_text().splitlines():
+    lines: dict = {}
+    for lineno, ln in enumerate(Path(path).read_text().splitlines(), 1):
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
         if "=" not in ln:
             raise ValueError(f"{path}: malformed line {ln!r} (expected key = value)")
         key, _, val = ln.partition("=")
-        cfg[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in cfg:
+            raise ValueError(f"{path}: key {key!r} is set on lines {lines[key]} and {lineno}")
+        cfg[key], lines[key] = val.strip(), lineno
     return cfg
 
 
@@ -174,12 +180,12 @@ _GRID_AXES = {"m": "20", "rho": "-0.5,0,0.5", "beta_type": "1,2,3", "p_index": "
 _SCALAR_KEYS = ("seed", "replications", "c_scale", "effect_target")
 
 
-def campaign_grid(cfg: dict) -> Tuple[List[SimConfig], List[Tuple[PenaltySpec, Optional[str]]]]:
-    """Cells and methods of a campaign: every combination of the grid
-    axes, with the scalar keys (or SimConfig's defaults) in each cell.
+def campaign_grid(cfg: dict):
+    """Cells, methods and labels of a campaign: each combination of the
+    grid axes, with the scalar keys (or SimConfig's defaults) in each cell.
 
-    Unknown keys, and two cells that would share a result file, are
-    rejected.
+    Unknown keys, two method tokens with one label, and two cells that
+    would share a result file, are rejected.
     """
     unknown = sorted(set(cfg) - set(_GRID_AXES) - set(_SCALAR_KEYS) - {"methods"})
     if unknown:
@@ -188,6 +194,10 @@ def campaign_grid(cfg: dict) -> Tuple[List[SimConfig], List[Tuple[PenaltySpec, O
     axes = {key: [_config_value(key, tok) for tok in cfg.get(key, default).split(",")]
             for key, default in _GRID_AXES.items()}
     methods = [parse_method(tok) for tok in cfg.get("methods", "msfdr:0.05").split(",")]
+    labels = [method_label(spec, rule)[1] for spec, rule in methods]
+    twice = [label for i, label in enumerate(labels) if label in labels[:i]]
+    if twice:
+        raise ValueError(f"methods: two tokens name method {twice[0]!r}")
     grid = [SimConfig(**dict(zip(axes, cell)), **scalars)
             for cell in itertools.product(*axes.values())]
     cells = {}
@@ -196,7 +206,7 @@ def campaign_grid(cfg: dict) -> Tuple[List[SimConfig], List[Tuple[PenaltySpec, O
         if other is not config:
             raise ValueError(f"cells {_cell(other)} and {_cell(config)} both map to "
                              f"result file {config.key()}.tsv")
-    return grid, methods
+    return grid, methods, labels
 
 
 def _cell(config: SimConfig) -> str:
@@ -309,11 +319,12 @@ def _run_one(payload):
 
 
 def _cmd_simulate(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = read_campaign_file(args.config)
-    grid, methods = campaign_grid(cfg)
+    grid, methods, labels = campaign_grid(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = [method_label(spec, rule)[1] for spec, rule in methods]
     pending = []
     for config in grid:
         target = out_dir / f"{config.key()}.tsv"

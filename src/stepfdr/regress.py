@@ -25,6 +25,7 @@ __all__ = [
     "least_squares",
     "estimate_sigma2",
     "forward_path",
+    "cross_products",
     "forward_sweep",
 ]
 
@@ -96,8 +97,8 @@ class ForwardPath:
         rss = np.asarray(self.rss, dtype=float)
         if len(rss) != len(self.entered) + 1:
             raise ValueError("rss must have one value per model size 0..K")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be a positive finite number, got {self.sigma2}")
         object.__setattr__(self, "entered", tuple(self.entered))
         object.__setattr__(self, "rss", rss)
         object.__setattr__(self, "tsq", -np.diff(rss) / self.sigma2)
@@ -186,24 +187,27 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     return coef, rss
 
 
-def _centered_gram(X: np.ndarray, y: np.ndarray, b: Optional[np.ndarray], center: bool):
-    """The cross-product form of a pool: ``(X, y, b, G, start)``.
+def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] = None):
+    """The cross-product form of a pool: ``(X, G, start, center, signal)``.
 
-    X, y and b (when given) come back centered when ``center`` is set;
-    G = X'X of the returned X, and ``start`` holds each column's squared
-    norm before centering, G's diagonal plus n times its squared mean.
-    Centering is the intercept's sweep step: it leaves a constant column
-    rounding noise, far under ``start``.
+    X comes back centered when ``center`` is set; G = X'X of the
+    returned X, ``start`` holds each column's squared norm before
+    centering (G's diagonal plus n times its squared mean), and
+    ``signal`` is ``(X'b, b'b)`` of the true mean b, centered with X,
+    or None. Centering is the intercept's sweep step: it leaves a
+    constant column rounding noise, far under ``start``.
     """
+    X = np.asarray(X, dtype=float)
+    b = None if true_mean is None else np.asarray(true_mean, dtype=float)
     if center:
         means = X.mean(axis=0)
         X = X - means
-        y = y - y.mean()
         if b is not None:
             b = b - b.mean()
     G = X.T @ X
     start = G.diagonal() + X.shape[0] * means * means if center else G.diagonal()
-    return X, y, b, G, start
+    signal = None if b is None else (X.T @ b, float(b @ b))
+    return X, G, start, center, signal
 
 
 def estimate_sigma2(dataset: Dataset) -> float:
@@ -227,7 +231,8 @@ def estimate_sigma2(dataset: Dataset) -> float:
             f"insufficient degrees of freedom: n={dataset.n}, m={dataset.m} "
             "(need n > m + 1 with an intercept)"
         )
-    X, y, _, G, start = _centered_gram(dataset.X, dataset.y, None, dataset.intercept_forced)
+    X, G, start, center, _ = cross_products(dataset.X, dataset.intercept_forced)
+    y = dataset.y - dataset.y.mean() if center else dataset.y
     diag = G.diagonal()
     try:
         L = np.linalg.cholesky(G)
@@ -235,7 +240,7 @@ def estimate_sigma2(dataset: Dataset) -> float:
         ratio = 0.0
     else:
         ratio = float((L.diagonal() ** 2 / diag).min())
-        if dataset.intercept_forced:
+        if center:
             ratio = min(ratio, float((diag / start).min()))
     if ratio > RANK_RTOL:
         b = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
@@ -260,21 +265,16 @@ def estimate_sigma2(dataset: Dataset) -> float:
     return rss_full / dof
 
 
-def forward_sweep(
-    X: np.ndarray,
-    y: np.ndarray,
-    k_max: int,
-    center: bool = False,
-    true_mean: Optional[np.ndarray] = None,
-):
-    """Greedy forward selection by maximal RSS reduction.
+def forward_sweep(pool: tuple, y: np.ndarray, k_max: int):
+    """Greedy forward selection by maximal RSS reduction on a ``cross_products`` pool.
 
     Returns ``(order, rss, bias)`` where ``rss[k]`` is the residual sum
-    of squares after k entries and ``bias`` (when ``true_mean`` is
-    given) holds the squared norm of ``true_mean`` projected off the
-    span of the model at each prefix, used for theoretical MSPE along
-    the path. When ``center`` is set an intercept is swept out first
-    and does not count toward ``order``.
+    of squares after k entries and ``bias`` (when the pool carries a
+    true mean) holds the squared norm of the true mean projected off
+    the span of the model at each prefix, used for theoretical MSPE
+    along the path. When the pool is centered an intercept is swept
+    out first and does not count toward ``order``. The pool is left
+    unchanged, so it can serve many responses.
 
     Ties (drops within RANK_RTOL * RSS_0 of the best) break toward the
     lowest column index; the path stops early once no candidate reduces
@@ -283,9 +283,9 @@ def forward_sweep(
     centering) never enters, nor does one that centering leaves with
     at most RANK_RTOL of its squared norm; both floors are unit-free.
     """
-    b = None if true_mean is None else np.asarray(true_mean, dtype=float)
-    X, y, b, G, start = _centered_gram(np.asarray(X, dtype=float), np.asarray(y, dtype=float),
-                                       b, center)
+    X, G, start, center, signal = pool
+    y = np.asarray(y, dtype=float)
+    y = y - y.mean() if center else y
     m = X.shape[1]
 
     # Residual cross-products after k entries: Gram row j is G[j] minus
@@ -300,9 +300,9 @@ def forward_sweep(
     tol = RANK_RTOL * rss0
     rss = [rss0]
     bias = None
-    if b is not None:
-        bscores = X.T @ b
-        bias = [float(b @ b)]
+    if signal is not None:
+        bscores = signal[0].copy()
+        bias = [signal[1]]
     L = np.empty((max(min(k_max, m), 0), m))
     drops = np.empty(m)
     order = []
@@ -357,11 +357,8 @@ def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPat
     else:
         s2 = float(sigma2)
         source = "known"
-        if s2 <= 0.0:
-            raise ValueError("known sigma2 must be positive")
-    order, rss, _ = forward_sweep(
-        dataset.X, dataset.y, k_max, center=dataset.intercept_forced
-    )
+    order, rss, _ = forward_sweep(cross_products(dataset.X, dataset.intercept_forced),
+                                  dataset.y, k_max)
     return ForwardPath(
         entered=order,
         rss=rss,

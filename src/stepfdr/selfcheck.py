@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quantiles import RandomSource
-from .regress import Dataset, forward_sweep, least_squares
+from .regress import Dataset, cross_products, forward_sweep, least_squares
 from .simlab import path_prefix_mspe, random_oracle
 
 __all__ = ["brute_force_forward", "explicit_projection_mspe", "run"]
@@ -76,7 +76,7 @@ def run(instances: int = 500, seed: int = 20090194) -> list:
         Xs = Xs / np.sqrt((Xs * Xs).sum(axis=0))
         ys = y - y.mean()
 
-        order, rss, _ = forward_sweep(Xs, ys, k_max=min(m, n - 2))
+        order, rss, _ = forward_sweep(cross_products(Xs, False), ys, min(m, n - 2))
         b_order, b_rss = brute_force_forward(Xs, ys)
         if order[: len(b_order)] != b_order:
             path_ok = False
@@ -84,7 +84,7 @@ def run(instances: int = 500, seed: int = 20090194) -> list:
             path_ok = False
 
         signal = X @ beta
-        ord2, _, bias = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
+        ord2, _, bias = forward_sweep(cross_products(X, True, signal), y, m)
         prefix = path_prefix_mspe(bias, 1.0)
         k_star, v_star = random_oracle(prefix)
         exhaustive = np.array([

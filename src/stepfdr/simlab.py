@@ -18,7 +18,7 @@ import numpy as np
 
 from .penalties import PenaltySpec
 from .quantiles import RandomSource
-from .regress import forward_sweep
+from .regress import cross_products, forward_sweep
 from .selector import choose_size, method_label, parse_method
 
 __all__ = [
@@ -77,9 +77,11 @@ class SimConfig:
             raise ValueError("replications must be positive")
         p_from_index(self.p_index, self.m)  # validates
         if self.c_scale != "auto" and not (
-            isinstance(self.c_scale, (int, float)) and self.c_scale > 0
+            isinstance(self.c_scale, (int, float)) and 0 < self.c_scale < math.inf
         ):
-            raise ValueError("c-scale must be a positive number or 'auto'")
+            raise ValueError(f"c-scale must be positive and finite or 'auto', got {self.c_scale!r}")
+        if not math.isfinite(self.effect_target):
+            raise ValueError(f"effect-target must be a finite number, got {self.effect_target}")
 
     @property
     def n(self) -> int:
@@ -222,6 +224,7 @@ def run_config(
                                               config.beta_type, config.p_index))
     sigma2 = config.sigma**2
     signal = X @ beta
+    pool = cross_products(X, True, signal)
     m, reps = config.m, config.replications
 
     # One path per row, padded with +inf past its depth.
@@ -231,7 +234,7 @@ def run_config(
         eps = root.substream(3, config.m, _rho_code(config.rho),
                              config.beta_type, config.p_index, r)
         y = config.beta0 + signal + config.sigma * eps.generator().standard_normal(config.n)
-        _, rss_r, bias_r = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
+        _, rss_r, bias_r = forward_sweep(pool, y, m)
         rss[r, :len(rss_r)] = rss_r
         bias[r, :len(bias_r)] = bias_r
     prefix = path_prefix_mspe(bias, sigma2)

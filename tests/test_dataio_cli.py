@@ -558,10 +558,15 @@ class TestCli:
         ("replications = x", "replications: 'x' is not an integer"),
         ("effect_target = 3y", "effect_target: '3y' is not a number"),
         ("c_scale = big", "c_scale: 'big' is not a number"),
-    ], ids=["grid-float", "grid-int", "scalar-int", "scalar-float", "scalar-auto"])
+        ("c_scale = inf", "c-scale must be positive and finite or 'auto', got inf"),
+        ("effect_target = nan", "effect-target must be a finite number, got nan"),
+    ], ids=["grid-float", "grid-int", "scalar-int", "scalar-float", "scalar-auto",
+            "infinite-scale", "nan-target"])
     def test_simulate_names_the_key_of_a_malformed_value(self, capsys, tmp_path, line, message):
-        # The last line sets its key, overriding the one above.
-        cfgfile = _write(tmp_path, "c.txt", f"m = 8\nrho = 0\nreplications = 5\n{line}\n")
+        # The malformed line takes the place of its key's valid one.
+        key = line.split(" = ")[0]
+        valid = [f"{k} = {v}" for k, v in (("m", 8), ("rho", 0), ("replications", 5)) if k != key]
+        cfgfile = _write(tmp_path, "c.txt", "\n".join(valid + [line]) + "\n")
         out_dir = tmp_path / "out"
         rc = main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)])
         assert rc == 1
@@ -593,6 +598,47 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("error: penalty-table takes no stopping rule, "
                                 "got 'msfdr:0.05@global-min'\n")
+
+    def test_rule_is_rejected_for_a_token_with_a_rule(self, capsys):
+        # Without the check, --rule would run and the token's rule be ignored.
+        assert self._select("--method", "msfdr:0.05@global-min", "--rule", "last-crossing") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --rule last-crossing given, but method "
+                                "'msfdr:0.05@global-min' already has a rule\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_select_rejects_a_known_sigma2_that_is_not_positive_and_finite(self, capsys, value):
+        # Without the check, nan would select every term and inf none.
+        assert self._select("--method", "msfdr:0.05", "--sigma2", f"known:{value}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = {"0": "0.0", "-inf": "-inf"}.get(value, value)
+        assert captured.err == f"error: sigma2 must be a positive finite number, got {want}\n"
+
+    def test_simulate_rejects_a_key_given_twice(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho = 0\n# a comment\nm = 10\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {cfgfile}: key 'm' is set on lines 1 and 4\n"
+        assert not list(out_dir.glob("*.tsv"))
+
+    def test_simulate_rejects_two_tokens_with_one_label(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt",
+                         "m = 8\nrho = 0\nmethods = msfdr:0.05,msfdr:0.050,aic\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: methods: two tokens name method 'msfdr:0.05'\n"
+        assert not list(out_dir.glob("*.tsv"))
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_simulate_rejects_fewer_than_one_worker(self, capsys, tmp_path, workers):
+        cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho = 0\nreplications = 5\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not out_dir.exists()
 
     def test_simulate_with_workers_matches_a_serial_run(self, capsys, tmp_path):
         cfgfile = _write(tmp_path, "c.txt", "seed = 3\nreplications = 10\nm = 8\nrho = 0\n"

@@ -39,6 +39,7 @@ from stepfdr.regress import (
     RANK_RTOL,
     Dataset,
     DegenerateColumnError,
+    cross_products,
     estimate_sigma2,
     forward_path,
     forward_sweep,
@@ -105,7 +106,7 @@ def _check_against_refits(X, y, order, rss, cond):
        log_cond=st.floats(0.0, 4.0))
 def test_sweep_matches_refits_on_ill_conditioned_pools(seed, m, extra, log_cond):
     X, y = _pool(seed, m, m + extra, log_cond)
-    order, rss, _ = forward_sweep(X, y, k_max=m)
+    order, rss, _ = forward_sweep(cross_products(X, False), y, m)
     assert len(set(order)) == len(order)
     assert np.all(np.diff(rss) <= 0.0)
     _check_against_refits(X, y, order, rss, np.linalg.cond(X))
@@ -115,7 +116,7 @@ def test_sweep_matches_refits_on_ill_conditioned_pools(seed, m, extra, log_cond)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 10))
 def test_sweep_with_n_just_above_m(seed, m):
     X, y = _pool(seed, m, m + 2, log_cond=1.0)
-    order, rss, _ = forward_sweep(X, y, k_max=m)
+    order, rss, _ = forward_sweep(cross_products(X, False), y, m)
     assert len(order) == m
     _check_against_refits(X, y, order, rss, np.linalg.cond(X))
 
@@ -131,7 +132,7 @@ def test_duplicate_column_never_enters(seed, m, data, center):
     first = data.draw(st.integers(0, m - 1))
     dup = data.draw(st.integers(first + 1, m))
     X = np.insert(X, dup, X[:, first], axis=1)
-    order, rss, _ = forward_sweep(X, y, k_max=m + 1, center=center)
+    order, rss, _ = forward_sweep(cross_products(X, center), y, m + 1)
     # The lowest index wins the tie and the copy is left with no residual.
     assert dup not in order
     assert len(order) == m
@@ -153,7 +154,7 @@ def test_exact_zero_drops_stop_the_path(seed, m, data):
     y = np.zeros(n)
     y[rows[:m]] = a
     y[rows[m]] = 0.5  # out of every column's reach
-    order, rss, _ = forward_sweep(X, y, k_max=m)
+    order, rss, _ = forward_sweep(cross_products(X, False), y, m)
     assert order == sorted(np.flatnonzero(a).tolist(), key=lambda j: (-a[j] ** 2, j))
     assert rss[-1] == pytest.approx(0.25)
 
@@ -307,8 +308,8 @@ def test_rank_floors_ignore_column_units(seed, m, extra, log_cond, log_scale, da
     assert s2 == pytest.approx(rss / (unit.n - m - 1),
                                rel=16.0 * EPS * cond * (cond + y_over_r), abs=0.0)
 
-    order, _, _ = forward_sweep(raw.X, raw.y, m, center=True)
-    want, want_rss, _ = forward_sweep(unit.X, unit.y, m, center=True)
+    order, _, _ = forward_sweep(cross_products(raw.X, True), raw.y, m)
+    want, want_rss, _ = forward_sweep(cross_products(unit.X, True), unit.y, m)
     k = next((k for k, (a, b) in enumerate(zip(order, want)) if a != b), None)
     if k is None:
         assert order == want
@@ -324,7 +325,7 @@ def test_rank_floors_ignore_column_units(seed, m, extra, log_cond, log_scale, da
         dup = Dataset(y=raw.y, X=X, names=raw.names, intercept_forced=True)
         with pytest.raises(np.linalg.LinAlgError):
             estimate_sigma2(dup)
-        assert max(i, j) not in forward_sweep(X, raw.y, m, center=True)[0]
+        assert max(i, j) not in forward_sweep(cross_products(X, True), raw.y, m)[0]
 
 
 def _standardize_check(X, y):

@@ -12,6 +12,7 @@ from stepfdr.regress import (
     Dataset,
     DegenerateColumnError,
     ForwardPath,
+    cross_products,
     estimate_sigma2,
     forward_path,
     forward_sweep,
@@ -121,7 +122,7 @@ class TestForwardSweep:
         rng = np.random.default_rng(5)
         for _ in range(20):
             ds = standardize(_random_dataset(rng, n=25, m=5))
-            order, rss, _ = forward_sweep(ds.X, ds.y, k_max=5)
+            order, rss, _ = forward_sweep(cross_products(ds.X, False), ds.y, 5)
             chosen = []
             for step, j_star in enumerate(order):
                 best = min(
@@ -138,14 +139,14 @@ class TestForwardSweep:
         x = np.array([1.0, -1.0, 1.0, -1.0])
         X = np.column_stack([x, x.copy()])
         y = x.copy()
-        order, _, _ = forward_sweep(X, y, k_max=2)
+        order, _, _ = forward_sweep(cross_products(X, False), y, 2)
         assert order[0] == 0
 
     def test_centering_option(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((20, 3)) + 7.0
         y = X[:, 0] * 2.0 + rng.standard_normal(20) + 11.0
-        _, rss, _ = forward_sweep(X, y, k_max=3, center=True)
+        _, rss, _ = forward_sweep(cross_products(X, True), y, 3)
         yc = y - y.mean()
         assert rss[0] == pytest.approx(float(yc @ yc))
 
@@ -155,7 +156,7 @@ class TestForwardSweep:
         beta = np.array([3.0, 0.0, -2.0, 0.0])
         signal = X @ beta
         y = signal + rng.standard_normal(20)
-        order, _, bias = forward_sweep(X, y, k_max=4, center=True, true_mean=signal)
+        order, _, bias = forward_sweep(cross_products(X, True, signal), y, 4)
         # Reference: squared norm of the signal projected off each prefix span.
         sc = signal - signal.mean()
         for k in range(len(order) + 1):
@@ -167,7 +168,7 @@ class TestForwardSweep:
     def test_stops_when_no_reduction(self):
         y = np.array([1.0, -1.0, 1.0, -1.0])
         X = np.column_stack([y, np.array([1.0, 1.0, -1.0, -1.0])])
-        order, rss, _ = forward_sweep(X, y, k_max=2)
+        order, rss, _ = forward_sweep(cross_products(X, False), y, 2)
         # Second column is orthogonal to the residual (exactly zero drop).
         assert order == [0]
         assert rss[-1] == pytest.approx(0.0, abs=1e-12)
@@ -243,7 +244,7 @@ class TestForwardPathAndSigma2:
         with caplog.at_level(logging.WARNING, logger="stepfdr.regress"), \
                 pytest.raises(np.linalg.LinAlgError):
             estimate_sigma2(ds)
-        assert 1 not in forward_sweep(X, y, k_max=3, center=True)[0]
+        assert 1 not in forward_sweep(cross_products(X, True), y, 3)[0]
 
     def test_benchmark_pools_skip_the_svd_fit(self, monkeypatch, caplog,
                                               diabetes_main, diabetes_quad):
@@ -269,6 +270,9 @@ class TestForwardPathAndSigma2:
         ds = standardize(_random_dataset(rng))
         with pytest.raises(ValueError):
             forward_path(ds, sigma2=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"positive finite number, got {bad}"):
+                forward_path(ds, sigma2=bad)
 
     def test_path_invariants(self):
         rng = np.random.default_rng(14)

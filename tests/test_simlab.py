@@ -7,7 +7,7 @@ import pytest
 
 from stepfdr.penalties import PenaltySpec
 from stepfdr.quantiles import RandomSource
-from stepfdr.regress import forward_sweep
+from stepfdr.regress import cross_products, forward_sweep
 from stepfdr.selector import parse_method
 from stepfdr.selfcheck import explicit_projection_mspe
 from stepfdr.simlab import (
@@ -144,7 +144,7 @@ class TestMspeAndOracle:
     def _path_mspe(X, beta, sigma2, rng):
         signal = X @ beta
         y = signal + rng.standard_normal(X.shape[0])
-        order, _, bias = forward_sweep(X, y, k_max=X.shape[1], center=True, true_mean=signal)
+        order, _, bias = forward_sweep(cross_products(X, True, signal), y, X.shape[1])
         return order, path_prefix_mspe(bias, sigma2)
 
     def test_matches_explicit_projection(self):
@@ -221,7 +221,7 @@ class TestRunConfig:
         for r in range(cfg.replications):
             eps = root.substream(3, *key, cfg.beta_type, cfg.p_index, r).generator()
             y = cfg.beta0 + signal + eps.standard_normal(cfg.n)
-            _, rss, bias = forward_sweep(X, y, k_max=m, center=True, true_mean=signal)
+            _, rss, bias = forward_sweep(cross_products(X, True, signal), y, m)
             prefix = path_prefix_mspe(bias, 1.0)
             oracle.append(prefix.min())
             tsq = np.maximum(-np.diff(rss), 0.0)
