@@ -103,6 +103,10 @@ def _cmd_penalty_table(args) -> int:
     spec, rule = parse_method(_method_token(args))
     if rule:
         raise ValueError(f"penalty-table takes no stopping rule, got {args.method!r}")
+    if args.m < 1:
+        raise ValueError(f"--m {args.m}: the pool size must be at least 1")
+    if args.kmax is not None and not 1 <= args.kmax <= args.m:
+        raise ValueError(f"--kmax {args.kmax}: must lie in [1, {args.m}] (the --m value)")
     table = penalty_table(spec, args.m, args.kmax)
     head = f"{spec.label()}\t{table.m}\t"
     # One pass over Python floats (a != a marks a nan): indexing the
@@ -355,6 +359,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    worst_k = args.worst_k
+    if worst_k != "ALL":
+        try:
+            worst_k = int(worst_k)
+        except ValueError:
+            worst_k = 0
+        if worst_k < 1:
+            raise ValueError(f"--worst-k {args.worst_k!r}: expected a positive integer or ALL")
     in_dir = Path(args.in_dir)
     files = sorted(in_dir.glob("*.tsv"))
     if not files:
@@ -366,7 +378,6 @@ def _cmd_summarize(args) -> int:
         if other != labels:
             raise ValueError(f"{f} holds methods {', '.join(other)}; "
                              f"{files[0]} holds {', '.join(labels)}")
-    worst_k = args.worst_k if args.worst_k == "ALL" else int(args.worst_k)
 
     ms = sorted({o.config.m for o in outcomes})
     pairs = sorted({(o.config.m, o.config.rho) for o in outcomes})

@@ -210,8 +210,12 @@ def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] 
     return X, G, start, center, signal
 
 
-def estimate_sigma2(dataset: Dataset) -> float:
+def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
     """Residual variance of the full model, RSS_full / (n - m - intercept).
+
+    ``pool`` is the dataset's ``cross_products(dataset.X,
+    dataset.intercept_forced)``, formed here when not given;
+    ``forward_path`` passes the one its sweep uses.
 
     The full model is fit by a Cholesky factor of X'X (of the centered
     columns when the intercept is forced), and RSS_full is taken from
@@ -231,7 +235,9 @@ def estimate_sigma2(dataset: Dataset) -> float:
             f"insufficient degrees of freedom: n={dataset.n}, m={dataset.m} "
             "(need n > m + 1 with an intercept)"
         )
-    X, G, start, center, _ = cross_products(dataset.X, dataset.intercept_forced)
+    if pool is None:
+        pool = cross_products(dataset.X, dataset.intercept_forced)
+    X, G, start, center, _ = pool
     y = dataset.y - dataset.y.mean() if center else dataset.y
     diag = G.diagonal()
     try:
@@ -349,16 +355,16 @@ def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPat
     k_max = min(dataset.m, dataset.n - 1 - (1 if dataset.has_intercept else 0))
     if k_max < 1:
         raise ValueError(f"n={dataset.n} leaves no room for one entry")
+    pool = cross_products(dataset.X, dataset.intercept_forced)
     if sigma2 is None:
-        s2 = estimate_sigma2(dataset)
+        s2 = estimate_sigma2(dataset, pool)
         source = "estimated-from-full-model"
         if s2 <= 0.0:
             raise ValueError("degenerate fit: full-model RSS is zero, sigma2 unavailable")
     else:
         s2 = float(sigma2)
         source = "known"
-    order, rss, _ = forward_sweep(cross_products(dataset.X, dataset.intercept_forced),
-                                  dataset.y, k_max)
+    order, rss, _ = forward_sweep(pool, dataset.y, k_max)
     return ForwardPath(
         entered=order,
         rss=rss,

@@ -640,6 +640,28 @@ class TestCli:
         assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_summarize_names_a_bad_worst_k(self, capsys, tmp_path, value):
+        # Without the check, 'abc' printed int()'s message and named no flag.
+        assert main(["summarize", "--in", str(tmp_path), "--worst-k", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --worst-k {value!r}: "
+                                "expected a positive integer or ALL\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--m", "0"], "--m 0: the pool size must be at least 1"),
+        (["--m", "-4", "--kmax", "2"], "--m -4: the pool size must be at least 1"),
+        (["--m", "5", "--kmax", "0"], "--kmax 0: must lie in [1, 5] (the --m value)"),
+        (["--m", "5", "--kmax", "6"], "--kmax 6: must lie in [1, 5] (the --m value)"),
+    ])
+    def test_penalty_table_names_a_bad_size(self, capsys, flags, message):
+        # Without the checks, both read "k_max must lie in [1, m]".
+        assert main(["penalty-table", "--method", "aic"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_simulate_with_workers_matches_a_serial_run(self, capsys, tmp_path):
         cfgfile = _write(tmp_path, "c.txt", "seed = 3\nreplications = 10\nm = 8\nrho = 0\n"
                                             "beta_type = 1\np_index = 1,2,4\nmethods = aic,bm\n")

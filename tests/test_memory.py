@@ -3,15 +3,19 @@
 numpy reports its array buffers to tracemalloc, so the traced peak
 counts every data-sized array alive at once. ``ingest`` holds at most
 two (the parsed table while X is copied out of it, then X and its
-standardized copy) plus one block of columns; ``standardize`` alone
+standardized copy) plus one block of columns, whether it parses the
+table itself or reads it from forked children; ``standardize`` alone
 holds the centered copy plus that block; ``expand`` holds the expanded
 pool and its standardized copy plus that block.
 """
 
+import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
+from stepfdr import dataio
 from stepfdr.dataio import ExpansionSpec, expand, ingest
 from stepfdr.regress import Dataset, standardize
 
@@ -26,7 +30,7 @@ def _traced_peak(fn):
     return result, peak
 
 
-def test_ingest_peaks_at_two_data_sized_arrays(tmp_path):
+def _ingest_peak(tmp_path, split_bytes):
     n, m = 1000, 200
     table = np.random.default_rng(0).standard_normal((n, m + 1))
     header = [f"x{j}" for j in range(m)]
@@ -36,9 +40,24 @@ def test_ingest_peaks_at_two_data_sized_arrays(tmp_path):
         fh.write("\t".join(header) + "\n")
         np.savetxt(fh, table, fmt="%.17g", delimiter="\t")
 
-    ds, peak = _traced_peak(lambda: ingest(path, "Y"))
+    with mock.patch.object(dataio, "SPLIT_BYTES", split_bytes), \
+         mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
+         mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split:
+        ds, peak = _traced_peak(lambda: ingest(path, "Y"))
+    assert split.called == (split_bytes == 1)
     assert ds.X.shape == (n, m)
     assert peak <= 2.5 * ds.X.nbytes
+
+
+def test_ingest_peaks_at_two_data_sized_arrays(tmp_path):
+    _ingest_peak(tmp_path, split_bytes=1 << 62)
+
+
+def test_split_ingest_peaks_at_two_data_sized_arrays(tmp_path):
+    # Two forked children parse the table (whatever the host's CPU
+    # count); the parent allocates the table once and reads the parts
+    # into it, so it peaks as the one-process parse does.
+    _ingest_peak(tmp_path, split_bytes=1)
 
 
 def test_standardize_peaks_at_one_copy():

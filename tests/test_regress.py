@@ -3,6 +3,7 @@
 import logging
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,6 +198,19 @@ class TestForwardPathAndSigma2:
         assert path.sigma2 == pytest.approx(expected)
         assert path.sigma2_source == "estimated-from-full-model"
         assert estimate_sigma2(ds) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("intercept_forced", [False, True])
+    def test_sigma2_and_the_sweep_share_one_pool(self, intercept_forced):
+        rng = np.random.default_rng(12)
+        ds = _random_dataset(rng, n=40, m=5)
+        ds = Dataset(y=ds.y, X=ds.X + 3.0, names=ds.names, intercept_forced=True) \
+            if intercept_forced else standardize(ds)
+        with mock.patch.object(regress, "cross_products", wraps=cross_products) as pool:
+            path = forward_path(ds)
+        assert pool.call_count == 1
+        assert path.sigma2 == estimate_sigma2(ds)
+        assert path.rss.tolist() == forward_sweep(cross_products(ds.X, intercept_forced),
+                                                  ds.y, 5)[1].tolist()
 
     def test_sigma2_needs_degrees_of_freedom(self):
         rng = np.random.default_rng(11)
