@@ -208,11 +208,10 @@ def _parse_part(path, lo: int, hi: int, delim: str, w: int):
             fh.seek(lo)
             text = io.TextIOWrapper(io.BytesIO(fh.read(hi - lo)), encoding="utf-8")
         data = _load_numeric(text, delim)
-        del text
         if data is not None:
             with open(w, "wb") as out:
                 out.write(_SHAPE.pack(*data.shape))
-                out.write(np.ascontiguousarray(data))
+                out.write(data)
     finally:
         os._exit(0)
 
