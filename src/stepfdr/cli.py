@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 from .dataio import ExpansionSpec, expand, ingest
 from .penalties import penalty_table
 from .regress import forward_path
-from .selector import RULES, method_label, msfdr_iterative, parse_method, select
+from .selector import method_label, msfdr_iterative, parse_method, select
 from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_tables, minimax_summary,
                      run_config)
 
@@ -39,16 +39,13 @@ def _fmt(v: float) -> str:
 
 
 def _cmd_select(args) -> int:
-    spec, rule = parse_method(_method_token(args))
-    if args.rule and rule:
-        raise ValueError(f"--rule {args.rule} given, but method {args.method!r} already has a rule")
+    spec, rule = parse_method(args.method)
     if args.iterative and spec.family != "msfdr":
         raise ValueError(f"--iterative applies to msfdr only, not {spec.family}")
-    if args.iterative and (rule or args.rule):
-        raise ValueError("--iterative takes no stopping rule (--rule or @rule)")
+    if args.iterative and rule:
+        raise ValueError(f"--iterative takes no stopping rule, got {args.method!r}")
     if not args.expand and (args.square_exclude is not None or args.no_interactions):
         raise ValueError("--square-exclude and --no-interactions need --expand")
-    rule = args.rule or rule
     sigma2 = None
     if args.sigma2 and args.sigma2 != "full-model":
         if not args.sigma2.startswith("known:"):
@@ -69,9 +66,9 @@ def _cmd_select(args) -> int:
 
     path = forward_path(ds, sigma2=sigma2)
     if args.iterative:
-        res = msfdr_iterative(ds, spec.q, sigma2=sigma2, path=path)
+        res = msfdr_iterative(ds, spec.q, path=path)
     else:
-        res = select(ds, spec, rule=rule, sigma2=sigma2, path=path)
+        res = select(ds, spec, rule=rule, path=path)
 
     lines = []
     lines.append(f"# method\t{spec.label()}")
@@ -100,7 +97,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_penalty_table(args) -> int:
-    spec, rule = parse_method(_method_token(args))
+    spec, rule = parse_method(args.method)
     if rule:
         raise ValueError(f"penalty-table takes no stopping rule, got {args.method!r}")
     if args.m < 1:
@@ -317,11 +314,6 @@ def _stale(path: Path, config: SimConfig, labels: List[str]) -> Optional[str]:
     return None
 
 
-def _run_one(payload):
-    config, methods = payload
-    return run_config(config, methods)
-
-
 def _cmd_simulate(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
@@ -346,7 +338,7 @@ def _cmd_simulate(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             run_all = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for outcome in run_all(_run_one, [(c, methods) for c in pending]):
+        for outcome in run_all(run_config, pending, itertools.repeat(methods)):
             write_outcome(outcome, out_dir)
             print(f"done {outcome.config.key()}")
     print(f"{len(pending)} configuration(s) run, {len(grid) - len(pending)} skipped")
@@ -439,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--data", required=True)
     sel.add_argument("--response", required=True)
     sel.add_argument("--method", required=True, help="family[:level][@rule], e.g. msfdr:0.05")
-    sel.add_argument("--q", type=float, default=None, help="FDR level shorthand")
-    sel.add_argument("--rule", choices=RULES, default=None)
     sel.add_argument("--sigma2", default="full-model", help="'full-model' or 'known:<value>'")
     sel.add_argument("--expand", action="store_true", help="add quadratic terms first")
     sel.add_argument("--square-exclude", nargs="*", default=None)
@@ -453,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("penalty-table", help="dump penalty factors and step costs")
     pt.add_argument("--method", required=True)
     pt.add_argument("--m", type=int, required=True)
-    pt.add_argument("--q", type=float, default=None)
     pt.add_argument("--kmax", type=int, default=None)
     pt.add_argument("--out", default=None)
     pt.set_defaults(func=_cmd_penalty_table)
@@ -474,17 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--instances", type=int, default=500)
     st.set_defaults(func=_cmd_selftest)
     return ap
-
-
-def _method_token(args) -> str:
-    """``--method`` with ``--q`` as its level, placed before any ``@rule``."""
-    token = args.method
-    if args.q is None:
-        return token
-    base, at, rule = token.partition("@")
-    if ":" in base:
-        raise ValueError(f"--q {args.q} given, but method {token!r} already has a level")
-    return f"{base}:{args.q}{at}{rule}"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

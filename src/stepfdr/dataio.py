@@ -72,7 +72,9 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
 
     The named response column is separated out; remaining columns
     become candidates.  Header names must be distinct.  Cells must be
-    finite numbers; errors name the offending row and column.
+    finite numbers; errors name the offending row and column.  An empty
+    file, a repeated name and a missing response are rejected from the
+    header, before any of the body is parsed.
 
     At most two arrays the size of X are alive at any time: the parsed
     table and X while the columns are copied out, then X and its
@@ -84,22 +86,24 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     each part is parsed by a forked child (see ``_load_parts``); the
     children hold their own parts, and this process only reads their
     rows into the table, so its peak stays as above.  Whenever numpy or
-    a child fails, or the array lacks the response, 3 rows, a column
-    per name or finite row sums, the line-by-line parser reads the file
-    instead: it raises the error naming row and column, or parses what
-    only Python's ``float`` accepts (such as ``1_000``).
+    a child fails, or the array lacks 3 rows, a column per name or
+    finite cells, the line-by-line parser reads the body instead: it
+    raises the error naming row and column, or parses what only
+    Python's ``float`` accepts (such as ``1_000``).
     """
-    data = None
     with open(path, "r", encoding="utf-8") as fh:
         line = next((ln for ln in fh if ln.strip()), None)
-        if line is not None:
-            delim = _sniff_delimiter(line)
-            header = _header_names(path, line, delim)
-            parts = _body_parts(path)
-            data = _load_numeric(fh, delim) if parts is None else _load_parts(path, parts, delim)
-    if (data is None or response not in header or data.shape[0] < 3
-            or data.shape[1] != len(header) or not np.isfinite(data.sum(axis=1)).all()):
-        header, data = _parse_lines(path, response)
+        if line is None:
+            raise ValueError(f"{path}: empty file")
+        delim = _sniff_delimiter(line)
+        header = _header_names(path, line, delim)
+        if response not in header:
+            raise ValueError(f"{path}: response column {response!r} not found in header")
+        parts = _body_parts(path)
+        data = _load_numeric(fh, delim) if parts is None else _load_parts(path, parts, delim)
+    if (data is None or data.shape[0] < 3 or data.shape[1] != len(header)
+            or _first_nonfinite(data) is not None):
+        data = _parse_lines(path, header, delim)
     ycol = header.index(response)
     keep = [j for j in range(len(header)) if j != ycol]
     # A view of y would keep the whole table alive; with it dropped,
@@ -227,23 +231,33 @@ def _read_full(pipe, view: memoryview) -> bool:
     return True
 
 
-def _parse_lines(path, response: str):
-    """Header names and data array of a file, parsed cell by cell with ``float``.
+def _first_nonfinite(data: np.ndarray):
+    """(row, column) of the first non-finite cell of a table, or None.
+
+    A row sum is non-finite when a cell is, or when the sum overflows;
+    row sums keep the check from adding a matrix-sized temporary, and
+    only the rows they flag are checked cell by cell.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = data.sum(axis=1)
+    for row in np.flatnonzero(~np.isfinite(sums)):
+        bad = np.flatnonzero(~np.isfinite(data[row]))
+        if bad.size:
+            return int(row), int(bad[0])
+    return None
+
+
+def _parse_lines(path, header: list, delim: str) -> np.ndarray:
+    """The body of a file (its lines after the header), parsed cell by cell with ``float``.
 
     The fallback of ``ingest``: every error names its row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    delim = _sniff_delimiter(lines[0])
-    header = _header_names(path, lines[0], delim)
-    if response not in header:
-        raise ValueError(f"{path}: response column {response!r} not found in header")
-    if len(lines) - 1 < 3:
-        raise ValueError(f"{path}: need at least 3 data rows, found {len(lines) - 1}")
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()][1:]
+    if len(lines) < 3:
+        raise ValueError(f"{path}: need at least 3 data rows, found {len(lines)}")
     rows = []
-    for ridx, line in enumerate(lines[1:], start=1):
+    for ridx, line in enumerate(lines, start=1):
         cells = line.split(delim)
         if len(cells) != len(header):
             raise ValueError(f"{path}: row {ridx} has {len(cells)} cells, expected {len(header)}")
@@ -257,16 +271,12 @@ def _parse_lines(path, response: str):
                 ) from None
         rows.append(row)
     data = np.array(rows)
-    # A row sum is non-finite when a cell is (or when it overflows); row
-    # sums keep the check from adding a matrix-sized temporary.
-    for ridx in np.flatnonzero(~np.isfinite(data.sum(axis=1))):
-        bad = np.flatnonzero(~np.isfinite(data[ridx]))
-        if bad.size:
-            raise ValueError(
-                f"{path}: non-finite cell at row {ridx + 1}, column {header[bad[0]]!r}: "
-                f"{lines[ridx + 1].split(delim)[bad[0]]!r}"
-            )
-    return header, data
+    bad = _first_nonfinite(data)
+    if bad is not None:
+        row, col = bad
+        raise ValueError(f"{path}: non-finite cell at row {row + 1}, column {header[col]!r}: "
+                         f"{lines[row].split(delim)[col]!r}")
+    return data
 
 
 def expand(dataset: Dataset, spec: ExpansionSpec) -> Dataset:

@@ -35,6 +35,10 @@ FAMILIES = ("bh", "msfdr", "tsfdr", "fixed-alpha", "aic", "dj", "fs", "tk", "bm"
 DEFAULT_BM_CONSTANT = 2000.0
 
 
+# The spec field a method token's level sets; other families take none.
+_LEVEL_FIELDS = {"bh": "q", "msfdr": "q", "tsfdr": "q", "fixed-alpha": "p", "bm": "c_bm"}
+
+
 class UnsupportedFamilyError(ValueError):
     """Operation not defined for this penalty family."""
 
@@ -69,13 +73,10 @@ class PenaltySpec:
             raise ValueError("c_bm must be positive")
 
     def label(self) -> str:
-        if self.family in ("bh", "msfdr", "tsfdr"):
-            return f"{self.family}:{_level(self.q)}"
-        if self.family == "fixed-alpha":
-            return f"fixed-alpha:{_level(self.p)}"
-        if self.family == "bm" and self.c_bm != DEFAULT_BM_CONSTANT:
-            return f"bm:{_level(self.c_bm)}"
-        return self.family
+        name = _LEVEL_FIELDS.get(self.family)
+        if name is None or (name == "c_bm" and self.c_bm == DEFAULT_BM_CONSTANT):
+            return self.family
+        return f"{self.family}:{_level(getattr(self, name))}"
 
 
 def _level(value: float) -> str:
@@ -97,7 +98,7 @@ def _alphas(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
     BH constants run past k = m (up to just below 1): the two-stage
     procedure's second stage applies them over the whole path with the
     pool shrunk to m - r1.  msfdr's reach k = m + 1 (alpha = 1), the
-    iterative procedure's index when an intercept is counted.
+    iterative procedure's largest index, which counts the intercept.
     """
     k = np.arange(1.0, k_max + 1)
     if spec.family == "bh":

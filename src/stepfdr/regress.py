@@ -90,7 +90,6 @@ class ForwardPath:
     rss: np.ndarray
     sigma2: float
     sigma2_source: str
-    intercept_forced: bool = False
     tsq: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -352,7 +351,7 @@ def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPat
     """
     if not (dataset.standardized or dataset.intercept_forced):
         raise ValueError("dataset must be standardized or carry a forced intercept")
-    k_max = min(dataset.m, dataset.n - 1 - (1 if dataset.has_intercept else 0))
+    k_max = min(dataset.m, dataset.n - 2)  # one dof goes to the intercept
     if k_max < 1:
         raise ValueError(f"n={dataset.n} leaves no room for one entry")
     pool = cross_products(dataset.X, dataset.intercept_forced)
@@ -370,5 +369,4 @@ def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPat
         rss=rss,
         sigma2=s2,
         sigma2_source=source,
-        intercept_forced=dataset.has_intercept,
     )

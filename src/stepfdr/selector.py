@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .penalties import PenaltySpec, _alphas, step_costs
+from .penalties import _LEVEL_FIELDS, PenaltySpec, _alphas, step_costs
 from .quantiles import two_sided_pvalue
 from .regress import Dataset, ForwardPath, forward_path, least_squares
 
@@ -39,10 +39,6 @@ _DEFAULT_RULES = {"msfdr": "first-local-min", "tsfdr": "first-local-min", "bh": 
 
 def default_rule(spec: PenaltySpec) -> str:
     return _DEFAULT_RULES.get(spec.family, "global-min")
-
-
-# The spec field a method token's level sets; other families take none.
-_LEVEL_FIELDS = {"bh": "q", "msfdr": "q", "tsfdr": "q", "fixed-alpha": "p", "bm": "c_bm"}
 
 
 def parse_method(token: str) -> Tuple[PenaltySpec, Optional[str]]:
@@ -85,12 +81,11 @@ class SelectionResult:
     method: PenaltySpec
     sigma2: float
     sigma2_source: str
-    intercept_counted: bool = False
     iterations: Optional[int] = None
 
     @property
     def k_with_intercept(self) -> int:
-        return self.k_selected + (1 if self.intercept_counted else 0)
+        return self.k_selected + 1
 
 
 def stop(trace: np.ndarray, rule: str) -> int | np.ndarray:
@@ -167,7 +162,6 @@ def _finish(dataset, path, spec, rule, trace, k, iterations=None) -> SelectionRe
         method=spec,
         sigma2=path.sigma2,
         sigma2_source=path.sigma2_source,
-        intercept_counted=path.intercept_forced,
         iterations=iterations,
     )
 
@@ -199,7 +193,7 @@ def msfdr_iterative(
     Repeatedly runs forward selection at a constant p-to-enter, the
     msfdr step constant alpha_i = i*q/(m + 1 - i*(1 - q)), feeding the
     resulting model size back as the next index until it stabilizes.
-    When an intercept is in play it occupies position 1 of the size
+    The intercept (every path has one) occupies position 1 of the size
     counter, so the counter is (entered candidates) + 1, up to m + 1,
     while the pool size m counts candidates only.  The index strictly
     rises until it stops, so the loop ends.
@@ -208,7 +202,6 @@ def msfdr_iterative(
     if path is None:
         path = forward_path(dataset, sigma2=sigma2)
     m = dataset.m
-    offset = 1 if path.intercept_forced else 0
     pvals = np.array([two_sided_pvalue(t) for t in np.maximum(path.tsq, 0.0)])
     alphas = _alphas(spec, m, m + 1).tolist()
 
@@ -219,9 +212,9 @@ def msfdr_iterative(
         run = 0
         while run < path.depth and pvals[run] <= alphas[i - 1]:
             run += 1
-        if run + offset <= i:
+        if run + 1 <= i:
             break
-        i = run + offset
+        i = run + 1
 
     trace, _ = choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))
     return _finish(dataset, path, spec, "iterative-p-to-enter", trace, run, iterations)

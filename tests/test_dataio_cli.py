@@ -1,8 +1,13 @@
 """Text ingestion, quadratic expansion, and the command-line surface."""
 
+import contextlib
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from stepfdr import dataio
 from stepfdr.cli import build_parser, main, parse_method, read_outcome, write_outcome
 from stepfdr.dataio import ExpansionSpec, diabetes_path, expand, ingest, load_diabetes
 from stepfdr.penalties import PenaltySpec, penalty_table
@@ -74,6 +79,32 @@ class TestIngest:
         ds = ingest(f, response="Y")
         assert ds.standardized
         assert np.allclose((ds.X**2).sum(axis=0), 1.0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n  \n", "empty file"),
+        ("a,b\n1,2\n3,4\n5,6\n", "response column 'Y' not found in header"),
+    ], ids=["empty", "no-response"])
+    def test_header_errors_come_before_any_parse(self, tmp_path, text, message):
+        f = _write(tmp_path, "d.csv", text)
+        parsers = ("_body_parts", "_load_numeric", "_load_parts", "_parse_lines")
+        with contextlib.ExitStack() as stack:
+            mocks = [stack.enter_context(mock.patch.object(dataio, name)) for name in parsers]
+            with pytest.raises(ValueError) as exc:
+                ingest(f, response="Y")
+        assert str(exc.value) == f"{f}: {message}"
+        assert not any(m.called for m in mocks)
+
+    def test_a_row_sum_that_overflows_is_no_parse_failure(self, tmp_path):
+        # Every cell is finite; only the row sum overflows. numpy's table
+        # stands, and standardize names the column.
+        f = _write(tmp_path, "d.csv", "a,b,Y\n1e308,1e308,1\n1,2,3\n4,5,6\n7,8,10\n")
+        with warnings.catch_warnings(), \
+                mock.patch.object(dataio, "_parse_lines", wraps=dataio._parse_lines) as lines:
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                ingest(f, response="Y")
+        assert str(exc.value) == "column 'a' is too large to standardize: its squared length overflows"
+        assert not lines.called
 
 
 class TestExpand:
@@ -242,7 +273,7 @@ class TestCli:
     def test_select_diabetes_main(self, capsys):
         rc = main([
             "select", "--data", diabetes_path(), "--response", "Y",
-            "--method", "msfdr", "--q", "0.05",
+            "--method", "msfdr:0.05",
         ])
         captured = capsys.readouterr().out
         assert rc == 0
@@ -252,12 +283,12 @@ class TestCli:
 
     def test_one_process_serves_requests_without_leaking_state(self, capsys):
         # One parser serves every call in a process; no option set by one
-        # request may carry into the next. A --q left over from the first
-        # call would turn the level-less tk into tk:0.1, which is an error.
+        # request may carry into the next. An --iterative left over from the
+        # first call would make tk an error: it applies to msfdr only.
         data = ["--data", str(diabetes_path()), "--response", "Y"]
         plain = ["select", *data, "--method", "tk"]
         argvs = [
-            ["select", *data, "--method", "msfdr", "--q", "0.1"],
+            ["select", *data, "--method", "msfdr:0.1", "--iterative"],
             plain,
             ["penalty-table", "--method", "bh:0.05", "--m", "10"],
             ["select", *data, "--method", "aic", "--expand", "--square-exclude", "SEX"],
@@ -520,13 +551,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: --iterative applies to msfdr only, not bh\n"
 
-    @pytest.mark.parametrize("flags", [["--method", "msfdr:0.05@global-min"],
-                                       ["--method", "msfdr:0.05", "--rule", "global-min"]])
+    @pytest.mark.parametrize("flags", [["--method", "msfdr:0.05@global-min"]])
     def test_select_rejects_iterative_with_a_rule(self, capsys, flags):
         assert self._select(*flags, "--iterative") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --iterative takes no stopping rule (--rule or @rule)\n"
+        assert captured.err == ("error: --iterative takes no stopping rule, "
+                                "got 'msfdr:0.05@global-min'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--data", diabetes_path(), "--response", "Y", "--method", "msfdr", "--q", "0.05"],
+        ["select", "--data", diabetes_path(), "--response", "Y", "--method", "msfdr:0.05",
+         "--rule", "global-min"],
+        ["penalty-table", "--method", "msfdr", "--m", "20", "--q", "0.05"],
+    ], ids=["select-q", "select-rule", "penalty-table-q"])
+    def test_level_and_rule_are_written_only_in_the_method_token(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " in captured.err
 
     @pytest.mark.parametrize("flags", [["--square-exclude", "SEX"], ["--square-exclude"],
                                        ["--no-interactions"]])
@@ -573,24 +618,6 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out_dir.glob("*.tsv"))
 
-    @pytest.mark.parametrize("command", ["select", "penalty-table"])
-    def test_q_is_rejected_for_a_token_with_a_level(self, capsys, command):
-        # Without the check, the token's 0.1 would run and --q be ignored.
-        argv = {"select": ["select", "--data", diabetes_path(), "--response", "Y"],
-                "penalty-table": ["penalty-table", "--m", "20"]}[command]
-        assert main(argv + ["--method", "msfdr:0.1", "--q", "0.05"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: --q 0.05 given, but method 'msfdr:0.1' "
-                                "already has a level\n")
-
-    def test_q_is_the_level_of_a_token_with_a_rule(self, capsys):
-        argv = ["select", "--data", diabetes_path(), "--response", "Y"]
-        assert main(argv + ["--method", "msfdr:0.05@global-min"]) == 0
-        want = capsys.readouterr().out
-        assert main(argv + ["--method", "msfdr@global-min", "--q", "0.05"]) == 0
-        assert capsys.readouterr().out == want
-
     def test_penalty_table_rejects_a_rule(self, capsys):
         # Without the check, the table would print as for msfdr:0.05.
         assert main(["penalty-table", "--method", "msfdr:0.05@global-min", "--m", "20"]) == 1
@@ -598,14 +625,6 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("error: penalty-table takes no stopping rule, "
                                 "got 'msfdr:0.05@global-min'\n")
-
-    def test_rule_is_rejected_for_a_token_with_a_rule(self, capsys):
-        # Without the check, --rule would run and the token's rule be ignored.
-        assert self._select("--method", "msfdr:0.05@global-min", "--rule", "last-crossing") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: --rule last-crossing given, but method "
-                                "'msfdr:0.05@global-min' already has a rule\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     def test_select_rejects_a_known_sigma2_that_is_not_positive_and_finite(self, capsys, value):

@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepfdr import regress
-from stepfdr.dataio import _load_numeric, _parse_lines, ingest
+from stepfdr.dataio import _header_names, _load_numeric, _parse_lines, _sniff_delimiter, ingest
 from stepfdr.penalties import FAMILIES, PenaltySpec, penalty_table, step_alpha, step_costs
 from stepfdr.quantiles import inverse_normal_cdf, two_sided_pvalue
 from stepfdr.regress import (
@@ -580,7 +580,14 @@ def _ingest_outcome(read):
 
 
 def _dataset_from_lines(path):
-    header, table = _parse_lines(path, "Y")
+    """The line parser's Dataset, after the header checks ``ingest`` makes first."""
+    with open(path, encoding="utf-8") as fh:
+        line = next(ln for ln in fh if ln.strip())
+    delim = _sniff_delimiter(line)
+    header = _header_names(path, line, delim)
+    if "Y" not in header:
+        raise ValueError(f"{path}: response column 'Y' not found in header")
+    table = _parse_lines(path, header, delim)
     keep = [j for j, name in enumerate(header) if name != "Y"]
     return Dataset(y=table[:, header.index("Y")], X=table[:, keep],
                    names=tuple(header[j] for j in keep))

@@ -4,15 +4,19 @@ that its source module's ``__all__`` lists.
 
 Re-exports are read from the syntax tree of ``stepfdr/__init__``, so a
 name imported there from a module that stopped listing it is caught.
+The README's "Command line" section names exactly the CLI's long options.
 """
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import stepfdr
+from stepfdr.cli import build_parser
 
 PACKAGE = Path(stepfdr.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -44,3 +48,14 @@ def test_package_reexports_only_listed_names():
     unlisted = [f"{module}.{name}" for module, name in pairs
                 if name not in importlib.import_module(f"stepfdr.{module}").__all__]
     assert unlisted == []
+
+
+def test_readme_command_line_section_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section)) - {"--help"}
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices.values()
+    options = {opt for command in commands for action in command._actions
+               for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+    assert documented == options
