@@ -90,6 +90,9 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     finite cells, the line-by-line parser reads the body instead: it
     raises the error naming row and column, or parses what only
     Python's ``float`` accepts (such as ``1_000``).
+
+    With ``standardize_data=False`` X and y are returned as read; the
+    dataset still selects with an intercept (see ``Dataset``).
     """
     with open(path, "r", encoding="utf-8") as fh:
         line = next((ln for ln in fh if ln.strip()), None)
@@ -304,13 +307,7 @@ def expand(dataset: Dataset, spec: ExpansionSpec) -> Dataset:
         np.multiply(base.X[:, a], base.X[:, b], out=X[:, col])
     for col, j in enumerate(squared, base.m + len(pairs)):
         np.square(base.X[:, j], out=X[:, col])
-    raw = Dataset(
-        y=dataset.y,
-        X=X,
-        names=tuple(names),
-        intercept_forced=dataset.intercept_forced,
-    )
-    return standardize(raw)
+    return standardize(Dataset(y=dataset.y, X=X, names=tuple(names)))
 
 
 def diabetes_path() -> str:

@@ -41,12 +41,17 @@ class DegenerateColumnError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Response vector plus named candidate-predictor matrix."""
+    """Response vector plus named candidate-predictor matrix.
+
+    Every model fit on a dataset has an intercept. ``standardized``
+    marks X and y as already centered, which sweeps the intercept out;
+    otherwise the pool centers X (``cross_products(X, True)``) and
+    ``least_squares`` fits a ones column.
+    """
 
     y: np.ndarray
     X: np.ndarray
     names: tuple
-    intercept_forced: bool = False
     standardized: bool = False
 
     def __post_init__(self):
@@ -71,11 +76,6 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def has_intercept(self) -> bool:
-        # Standardization centers y and X, which absorbs one intercept dof.
-        return self.intercept_forced or self.standardized
 
 
 @dataclass(frozen=True)
@@ -149,28 +149,22 @@ def standardize(dataset: Dataset) -> Dataset:
     np.sqrt(lengths, out=lengths)
     yc = dataset.y - dataset.y.mean()
     np.divide(Xc, lengths, out=Xc)
-    return Dataset(
-        y=yc,
-        X=Xc,
-        names=dataset.names,
-        intercept_forced=dataset.intercept_forced,
-        standardized=True,
-    )
+    return Dataset(y=yc, X=Xc, names=dataset.names, standardized=True)
 
 
 def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     """Exact least-squares fit on ``subset`` columns; returns (coef, rss).
 
     Serves as the reference oracle for the incremental forward path.
-    An intercept is included when the dataset carries one.
+    The intercept is fit as a ones column, unless the dataset is
+    standardized: its centering already swept the intercept out.
     """
     subset = list(subset)
     if len(set(subset)) != len(subset):
         raise ValueError("subset indices must be distinct")
     y = dataset.y
-    cols = [dataset.X[:, j] for j in subset]
-    if dataset.intercept_forced:
-        cols = [np.ones(dataset.n)] + cols
+    intercept = [] if dataset.standardized else [np.ones(dataset.n)]
+    cols = intercept + [dataset.X[:, j] for j in subset]
     if not cols:
         return np.empty(0), float(y @ y)
     A = np.column_stack(cols)
@@ -180,10 +174,7 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     if rank < A.shape[1]:
         raise np.linalg.LinAlgError("subset columns are rank deficient")
     resid = y - A @ coef
-    rss = float(resid @ resid)
-    if dataset.intercept_forced:
-        coef = coef[1:]
-    return coef, rss
+    return coef[len(intercept):], float(resid @ resid)
 
 
 def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] = None):
@@ -194,7 +185,9 @@ def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] 
     centering (G's diagonal plus n times its squared mean), and
     ``signal`` is ``(X'b, b'b)`` of the true mean b, centered with X,
     or None. Centering is the intercept's sweep step: it leaves a
-    constant column rounding noise, far under ``start``.
+    constant column rounding noise, far under ``start``. A dataset's
+    pool is ``cross_products(dataset.X, not dataset.standardized)``, so
+    an X that ``standardize`` already centered is not copied again.
     """
     X = np.asarray(X, dtype=float)
     b = None if true_mean is None else np.asarray(true_mean, dtype=float)
@@ -210,14 +203,14 @@ def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] 
 
 
 def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
-    """Residual variance of the full model, RSS_full / (n - m - intercept).
+    """Residual variance of the full model with its intercept, RSS_full / (n - m - 1).
 
-    ``pool`` is the dataset's ``cross_products(dataset.X,
-    dataset.intercept_forced)``, formed here when not given;
+    ``pool`` is the dataset's ``cross_products(dataset.X, not
+    dataset.standardized)``, formed here when not given;
     ``forward_path`` passes the one its sweep uses.
 
     The full model is fit by a Cholesky factor of X'X (of the centered
-    columns when the intercept is forced), and RSS_full is taken from
+    columns when the dataset is not standardized), and RSS_full is taken from
     the residual y - Xb itself: an error d in b moves it by only |Xd|^2,
     while RSS_0 minus the explained sum of squares loses most of its
     digits at high R^2. When the factor fails or a squared pivot is at
@@ -225,17 +218,17 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
     correlation matrix, so column units do not matter), a warning gives
     the smallest ratio and ``least_squares`` fits the model by SVD
     instead; it raises ``LinAlgError`` when the pool is rank deficient.
-    With a forced intercept, a column that centering leaves with at most
+    When the pool centers X, a column that centering leaves with at most
     RANK_RTOL of its squared norm counts as constant and also falls back.
     """
-    dof = dataset.n - dataset.m - (1 if dataset.has_intercept else 0)
+    dof = dataset.n - dataset.m - 1
     if dof <= 0:
         raise ValueError(
             f"insufficient degrees of freedom: n={dataset.n}, m={dataset.m} "
             "(need n > m + 1 with an intercept)"
         )
     if pool is None:
-        pool = cross_products(dataset.X, dataset.intercept_forced)
+        pool = cross_products(dataset.X, not dataset.standardized)
     X, G, start, center, _ = pool
     y = dataset.y - dataset.y.mean() if center else dataset.y
     diag = G.diagonal()
@@ -349,12 +342,10 @@ def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPat
     scale from the full model; a positive value is used as a known
     variance.
     """
-    if not (dataset.standardized or dataset.intercept_forced):
-        raise ValueError("dataset must be standardized or carry a forced intercept")
     k_max = min(dataset.m, dataset.n - 2)  # one dof goes to the intercept
     if k_max < 1:
         raise ValueError(f"n={dataset.n} leaves no room for one entry")
-    pool = cross_products(dataset.X, dataset.intercept_forced)
+    pool = cross_products(dataset.X, not dataset.standardized)
     if sigma2 is None:
         s2 = estimate_sigma2(dataset, pool)
         source = "estimated-from-full-model"

@@ -150,6 +150,15 @@ def choose_size(rss: np.ndarray, sigma2: float, spec: PenaltySpec, m: int, rule:
     return (trace[0], int(k[0])) if rss.ndim == 1 else (trace, k)
 
 
+def _path(dataset: Dataset, sigma2: Optional[float], path: Optional[ForwardPath]) -> ForwardPath:
+    """``path``, or else the dataset's forward path at ``sigma2``; not both."""
+    if path is None:
+        return forward_path(dataset, sigma2=sigma2)
+    if sigma2 is not None:
+        raise ValueError("give sigma2 or path, not both: the path carries its own sigma2")
+    return path
+
+
 def _finish(dataset, path, spec, rule, trace, k, iterations=None) -> SelectionResult:
     selected = path.entered[:k]
     coef, _ = least_squares(dataset, selected)
@@ -173,11 +182,13 @@ def select(
     sigma2: Optional[float] = None,
     path: Optional[ForwardPath] = None,
 ) -> SelectionResult:
-    """Forward path -> penalized trace -> stopping rule -> refit."""
+    """Forward path -> penalized trace -> stopping rule -> refit.
+
+    Takes a known ``sigma2`` (None estimates it) or a ``path``, not both.
+    """
     if rule is None:
         rule = default_rule(spec)
-    if path is None:
-        path = forward_path(dataset, sigma2=sigma2)
+    path = _path(dataset, sigma2, path)
     trace, k = choose_size(path.rss, path.sigma2, spec, dataset.m, rule)
     return _finish(dataset, path, spec, rule, trace, k)
 
@@ -196,11 +207,11 @@ def msfdr_iterative(
     The intercept (every path has one) occupies position 1 of the size
     counter, so the counter is (entered candidates) + 1, up to m + 1,
     while the pool size m counts candidates only.  The index strictly
-    rises until it stops, so the loop ends.
+    rises until it stops, so the loop ends.  ``sigma2`` and ``path``
+    are taken as by ``select``.
     """
     spec = PenaltySpec("msfdr", q=q)
-    if path is None:
-        path = forward_path(dataset, sigma2=sigma2)
+    path = _path(dataset, sigma2, path)
     m = dataset.m
     pvals = np.array([two_sided_pvalue(t) for t in np.maximum(path.tsq, 0.0)])
     alphas = _alphas(spec, m, m + 1).tolist()

@@ -43,23 +43,15 @@ def brute_force_forward(X: np.ndarray, y: np.ndarray):
     return chosen, np.array(rss_seq)
 
 
-def explicit_projection_mspe(X, beta, subset, sigma2, intercept=True) -> float:
-    """Theoretical MSPE via an explicitly formed projection matrix."""
+def explicit_projection_mspe(X, beta, subset, sigma2) -> float:
+    """Theoretical MSPE via an explicitly formed projection matrix, intercept included."""
     n = X.shape[0]
-    cols = []
-    if intercept:
-        cols.append(np.ones(n))
-    for j in subset:
-        cols.append(X[:, j])
+    A = np.column_stack([np.ones(n)] + [X[:, j] for j in subset])
     rest = sorted(set(range(X.shape[1])) - set(subset))
     b2 = X[:, rest] @ np.asarray(beta)[rest] if rest else np.zeros(n)
-    k = len(subset) + (1 if intercept else 0)
-    if not cols:
-        return sigma2 * k + float(b2 @ b2)
-    A = np.column_stack(cols)
     P = A @ np.linalg.inv(A.T @ A) @ A.T
     r = (np.eye(n) - P) @ b2
-    return sigma2 * k + float(r @ r)
+    return sigma2 * (len(subset) + 1) + float(r @ r)
 
 
 def run(instances: int = 500, seed: int = 20090194) -> list:

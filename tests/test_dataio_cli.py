@@ -11,6 +11,7 @@ from stepfdr import dataio
 from stepfdr.cli import build_parser, main, parse_method, read_outcome, write_outcome
 from stepfdr.dataio import ExpansionSpec, diabetes_path, expand, ingest, load_diabetes
 from stepfdr.penalties import PenaltySpec, penalty_table
+from stepfdr.selector import select
 from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, run_config
 
 
@@ -145,10 +146,14 @@ class TestDiabetesFixture:
 
         assert os.path.exists(diabetes_path())
 
-    def test_unstandardized_load(self):
+    def test_unstandardized_load(self, diabetes_main):
         raw = load_diabetes(standardize_data=False)
         assert not raw.standardized
         assert raw.y.mean() == pytest.approx(152.133, abs=1e-3)
+        # It selects with the intercept of the standardized pool.
+        got, want = (select(ds, PenaltySpec("msfdr", q=0.05)) for ds in (raw, diabetes_main))
+        assert got.selected == want.selected
+        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-12)
 
 
 class TestParseMethod:

@@ -15,7 +15,8 @@ against the line-by-line parser it falls back to, on clean and broken
 tables alike; the normal-equation ``estimate_sigma2`` against the
 SVD least-squares fit, on collinear, high-R^2 and raw pools; the rank
 floors of the sweep and of ``estimate_sigma2`` on raw pools whose
-columns are in units up to 10^12 apart; the column-blocked
+columns are in units up to 10^12 apart; the forward path and sigma2
+of a raw dataset against those of its standardized copy; the column-blocked
 ``standardize`` against the whole-matrix formula, bit for bit;
 ``standardize`` on constant columns of any finite value; and
 ``minimax_summary`` against a per-label sort and ``np.mean``, bit for
@@ -223,9 +224,8 @@ def _sigma2_pool(seed, m, n, log_cond, noise, raw):
     """A `_pool`-style dataset whose noise is ``noise`` times the signal's
     RMS (0 puts y in the span), and the matrix ``least_squares`` fits.
 
-    A raw pool has its columns scaled by up to 10x either way and offset,
-    and forces an intercept; the others are centered as ``standardize``
-    would leave them.
+    A raw pool has its columns scaled by up to 10x either way and offset;
+    the others are centered as ``standardize`` would leave them.
     """
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((n, m)))
@@ -236,7 +236,7 @@ def _sigma2_pool(seed, m, n, log_cond, noise, raw):
     names = tuple(f"x{j}" for j in range(m))
     if raw:
         X = X * 10.0 ** rng.uniform(-1.0, 1.0, m) + rng.uniform(-5.0, 5.0, m)
-        ds = Dataset(y=y + rng.uniform(-5.0, 5.0), X=X, names=names, intercept_forced=True)
+        ds = Dataset(y=y + rng.uniform(-5.0, 5.0), X=X, names=names)
         return ds, np.column_stack([np.ones(n), X])
     X = X - X.mean(axis=0)
     return Dataset(y=y - y.mean(), X=X, names=names, standardized=True), X
@@ -271,8 +271,7 @@ def test_sigma2_rejects_duplicate_columns(seed, m, extra, raw, data):
     i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
     X = ds.X.copy()
     X[:, i] = X[:, j]
-    dup = Dataset(y=ds.y, X=X, names=ds.names, intercept_forced=ds.intercept_forced,
-                  standardized=ds.standardized)
+    dup = Dataset(y=ds.y, X=X, names=ds.names, standardized=ds.standardized)
     with pytest.raises(np.linalg.LinAlgError):
         estimate_sigma2(dup)
 
@@ -290,14 +289,14 @@ def test_sigma2_warns_when_y_lies_in_the_span(seed, m, extra, log_cond, raw):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), extra=st.sampled_from([2, 3, 6, 20]),
        log_cond=st.floats(0.0, 3.0), log_scale=st.floats(0.0, 6.0), data=st.data())
 def test_rank_floors_ignore_column_units(seed, m, extra, log_cond, log_scale, data):
-    """A raw forced-intercept pool with its columns rescaled by up to
+    """A raw pool with its columns rescaled by up to
     10**log_scale either way fits sigma2 without the SVD fallback, to
     the unit pool's SVD value, and sweeps in the unit pool's order up
     to the first near tie; an exact duplicate column still raises.
     """
     unit, A = _sigma2_pool(seed, m, m + extra, log_cond, 0.1, raw=True)
     scales = 10.0 ** np.random.default_rng(seed).uniform(-log_scale, log_scale, m)
-    raw = Dataset(y=unit.y, X=unit.X * scales, names=unit.names, intercept_forced=True)
+    raw = Dataset(y=unit.y, X=unit.X * scales, names=unit.names)
 
     with mock.patch.object(regress, "least_squares",
                            side_effect=AssertionError("took the SVD fallback")):
@@ -322,10 +321,32 @@ def test_rank_floors_ignore_column_units(seed, m, extra, log_cond, log_scale, da
         i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
         X = raw.X.copy()
         X[:, max(i, j)] = X[:, min(i, j)]
-        dup = Dataset(y=raw.y, X=X, names=raw.names, intercept_forced=True)
+        dup = Dataset(y=raw.y, X=X, names=raw.names)
         with pytest.raises(np.linalg.LinAlgError):
             estimate_sigma2(dup)
         assert max(i, j) not in forward_sweep(cross_products(X, True), raw.y, m)[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), extra=st.sampled_from([2, 3, 6, 20]),
+       log_scale=st.floats(0.0, 6.0))
+def test_raw_dataset_selects_as_its_standardized_copy(seed, m, extra, log_scale):
+    """Every model has an intercept: a raw dataset, its columns offset by
+    up to 100 of their spreads and in units up to 10**log_scale apart,
+    has the forward path and sigma2 of its standardized copy. RSS_k is
+    RSS_0 minus the drops, so its error is measured against RSS_0: at
+    n = m + 2 the full model can leave 1e-8 of it.
+    """
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    X = rng.standard_normal((n, m))
+    y = X @ rng.standard_normal(m) + rng.standard_normal(n) + rng.uniform(-100.0, 100.0)
+    X = (X + rng.uniform(-100.0, 100.0, m)) * 10.0 ** rng.uniform(-log_scale, log_scale, m)
+    raw = Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(m)))
+    got, want = forward_path(raw), forward_path(standardize(raw))
+    assert got.entered == want.entered
+    np.testing.assert_allclose(got.rss, want.rss, rtol=0.0, atol=1e-9 * want.rss[0])
+    assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-9, abs=0.0)
 
 
 def _standardize_check(X, y):

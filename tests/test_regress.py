@@ -39,14 +39,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(y=np.zeros(4), X=np.zeros(4), names=("a",))
 
-    def test_intercept_flag(self):
-        rng = np.random.default_rng(0)
-        ds = _random_dataset(rng)
-        assert not ds.has_intercept
-        assert standardize(ds).has_intercept
-        forced = Dataset(y=ds.y, X=ds.X, names=ds.names, intercept_forced=True)
-        assert forced.has_intercept
-
 
 class TestStandardize:
     def test_centered_unit_columns(self):
@@ -96,7 +88,7 @@ class TestLeastSquares:
     def test_forced_intercept(self):
         rng = np.random.default_rng(3)
         raw = _random_dataset(rng)
-        ds = Dataset(y=raw.y + 5.0, X=raw.X, names=raw.names, intercept_forced=True)
+        ds = Dataset(y=raw.y + 5.0, X=raw.X, names=raw.names)
         coef, rss = least_squares(ds, [0, 2])
         A = np.column_stack([np.ones(ds.n), ds.X[:, [0, 2]]])
         ref = np.linalg.lstsq(A, ds.y, rcond=None)[0]
@@ -176,12 +168,6 @@ class TestForwardSweep:
 
 
 class TestForwardPathAndSigma2:
-    def test_requires_intercept_handling(self):
-        rng = np.random.default_rng(8)
-        ds = _random_dataset(rng)
-        with pytest.raises(ValueError):
-            forward_path(ds)
-
     def test_known_sigma2(self):
         rng = np.random.default_rng(9)
         ds = standardize(_random_dataset(rng))
@@ -199,17 +185,16 @@ class TestForwardPathAndSigma2:
         assert path.sigma2_source == "estimated-from-full-model"
         assert estimate_sigma2(ds) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("intercept_forced", [False, True])
-    def test_sigma2_and_the_sweep_share_one_pool(self, intercept_forced):
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_sigma2_and_the_sweep_share_one_pool(self, standardized):
         rng = np.random.default_rng(12)
         ds = _random_dataset(rng, n=40, m=5)
-        ds = Dataset(y=ds.y, X=ds.X + 3.0, names=ds.names, intercept_forced=True) \
-            if intercept_forced else standardize(ds)
+        ds = standardize(ds) if standardized else Dataset(y=ds.y, X=ds.X + 3.0, names=ds.names)
         with mock.patch.object(regress, "cross_products", wraps=cross_products) as pool:
             path = forward_path(ds)
         assert pool.call_count == 1
         assert path.sigma2 == estimate_sigma2(ds)
-        assert path.rss.tolist() == forward_sweep(cross_products(ds.X, intercept_forced),
+        assert path.rss.tolist() == forward_sweep(cross_products(ds.X, not standardized),
                                                   ds.y, 5)[1].tolist()
 
     def test_sigma2_needs_degrees_of_freedom(self):
@@ -254,7 +239,7 @@ class TestForwardPathAndSigma2:
         X[:, 1] = 0.1
         assert (X[:, 1] - X[:, 1].mean()).any()
         y = rng.standard_normal(7)
-        ds = Dataset(y=y, X=X, names=tuple("abc"), intercept_forced=True)
+        ds = Dataset(y=y, X=X, names=tuple("abc"))
         with caplog.at_level(logging.WARNING, logger="stepfdr.regress"), \
                 pytest.raises(np.linalg.LinAlgError):
             estimate_sigma2(ds)

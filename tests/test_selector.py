@@ -99,6 +99,21 @@ class TestSelect:
         assert res.sigma2_source == "known"
 
 
+class TestSigma2OrPath:
+    """A path carries its own sigma2, so sigma2= and path= together are rejected."""
+
+    @pytest.mark.parametrize("call", [
+        lambda ds, **kw: select(ds, PenaltySpec("msfdr", q=0.05), **kw),
+        lambda ds, **kw: msfdr_iterative(ds, 0.05, **kw),
+    ], ids=["select", "msfdr_iterative"])
+    def test_both_rejected_each_alone_accepted(self, diabetes_main, call):
+        path = forward_path(diabetes_main)
+        with pytest.raises(ValueError, match="sigma2 or path, not both"):
+            call(diabetes_main, sigma2=1e9, path=path)
+        assert call(diabetes_main, path=path).sigma2 == path.sigma2
+        assert call(diabetes_main, sigma2=1e9).sigma2 == 1e9
+
+
 class TestMsfdrIterative:
     def test_fixed_point_on_constructed_pvalues(self):
         # p-values sit so that the size-1 constants admit three variables
