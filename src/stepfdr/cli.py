@@ -175,23 +175,24 @@ def _config_value(name: str, text: str):
         raise ValueError(f"{name}: {text!r} is not {what}") from None
 
 
-# Grid axes with their default lists, and the scalar keys, whose
-# defaults are SimConfig's.
+# The grid axes with their default lists. Every other SimConfig field
+# is a scalar campaign key, with SimConfig's default.
 _GRID_AXES = {"m": "20", "rho": "-0.5,0,0.5", "beta_type": "1,2,3", "p_index": "1,2,3,4,5,6"}
-_SCALAR_KEYS = ("seed", "replications", "c_scale", "effect_target")
 
 
 def campaign_grid(cfg: dict):
     """Cells, methods and labels of a campaign: each combination of the
     grid axes, with the scalar keys (or SimConfig's defaults) in each cell.
 
-    Unknown keys, two method tokens with one label, and two cells that
-    would share a result file, are rejected.
+    The keys are SimConfig's fields and ``methods``.  Unknown keys, two
+    method tokens with one label, and two cells that would share a
+    result file, are rejected.
     """
-    unknown = sorted(set(cfg) - set(_GRID_AXES) - set(_SCALAR_KEYS) - {"methods"})
+    unknown = sorted(set(cfg) - set(_CONFIG_TYPES) - {"methods"})
     if unknown:
         raise ValueError(f"unknown campaign key(s): {', '.join(unknown)}")
-    scalars = {key: _config_value(key, cfg[key]) for key in _SCALAR_KEYS if key in cfg}
+    scalars = {key: _config_value(key, cfg[key]) for key in _CONFIG_TYPES
+               if key in cfg and key not in _GRID_AXES}
     axes = {key: [_config_value(key, tok) for tok in cfg.get(key, default).split(",")]
             for key, default in _GRID_AXES.items()}
     methods = [parse_method(tok) for tok in cfg.get("methods", "msfdr:0.05").split(",")]
@@ -330,7 +331,10 @@ def _cmd_simulate(args) -> int:
                 continue
             print(f"rerun {config.key()}: result file holds {reason}")
         pending.append(config)
-    workers = args.workers or os.cpu_count() or 1
+    workers = args.workers
+    if workers is None:  # the CPUs this process may run on
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         run_all = map
         if workers > 1 and len(pending) > 1:

@@ -175,11 +175,12 @@ def _load_parts(path, parts: list, delim: str) -> Optional[np.ndarray]:
             if pid == 0:
                 _parse_part(path, lo, hi, delim, w)
             os.close(w)
-            children.append((pid, open(r, "rb", buffering=0)))
+            # A buffered reader's readinto fills the view until the pipe ends.
+            children.append((pid, open(r, "rb")))
         shapes = []
         for _, pipe in children:
             head = bytearray(_SHAPE.size)
-            if not _read_full(pipe, memoryview(head)):
+            if pipe.readinto(head) != len(head):
                 return None
             shapes.append(_SHAPE.unpack(head))
         widths = {cols for rows, cols in shapes if rows}
@@ -190,7 +191,7 @@ def _load_parts(path, parts: list, delim: str) -> Optional[np.ndarray]:
         pos = 0
         for (_, pipe), (rows, _) in zip(children, shapes):
             end = pos + rows * table.shape[1] * table.itemsize
-            if not _read_full(pipe, view[pos:end]):
+            if pipe.readinto(view[pos:end]) != end - pos:
                 return None
             pos = end
         return table
@@ -221,17 +222,6 @@ def _parse_part(path, lo: int, hi: int, delim: str, w: int):
                 out.write(data)
     finally:
         os._exit(0)
-
-
-def _read_full(pipe, view: memoryview) -> bool:
-    """Fill ``view`` from ``pipe``; False if the pipe ends first."""
-    pos = 0
-    while pos < len(view):
-        got = pipe.readinto(view[pos:])
-        if not got:
-            return False
-        pos += got
-    return True
 
 
 def _first_nonfinite(data: np.ndarray):

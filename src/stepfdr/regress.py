@@ -209,15 +209,16 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
     dataset.standardized)``, formed here when not given;
     ``forward_path`` passes the one its sweep uses.
 
-    The full model is fit by a Cholesky factor of X'X (of the centered
+    The full model is fit by one solve of X'X b = X'y (of the centered
     columns when the dataset is not standardized), and RSS_full is taken from
     the residual y - Xb itself: an error d in b moves it by only |Xd|^2,
     while RSS_0 minus the explained sum of squares loses most of its
-    digits at high R^2. When the factor fails or a squared pivot is at
-    most RANK_RTOL times its column's diagonal of X'X (the pivots of the
-    correlation matrix, so column units do not matter), a warning gives
-    the smallest ratio and ``least_squares`` fits the model by SVD
-    instead; it raises ``LinAlgError`` when the pool is rank deficient.
+    digits at high R^2. A Cholesky factor of X'X checks the rank first:
+    when it fails or a squared pivot is at most RANK_RTOL times its
+    column's diagonal of X'X (the pivots of the correlation matrix, so
+    column units do not matter), a warning gives the smallest ratio and
+    ``least_squares`` fits the model by SVD instead; it raises
+    ``LinAlgError`` when the pool is rank deficient.
     When the pool centers X, a column that centering leaves with at most
     RANK_RTOL of its squared norm counts as constant and also falls back.
     """
@@ -241,7 +242,7 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
         if center:
             ratio = min(ratio, float((diag / start).min()))
     if ratio > RANK_RTOL:
-        b = np.linalg.solve(L.T, np.linalg.solve(L, X.T @ y))
+        b = np.linalg.solve(G, X.T @ y)
         r = y - X @ b
         rss_full = float(r @ r)
     else:

@@ -61,8 +61,6 @@ class SimConfig:
     p_index: int
     replications: int = 1000
     seed: int = 0
-    sigma: float = 1.0
-    beta0: float = 10.0
     c_scale: object = "auto"  # positive float or "auto"
     effect_target: float = DEFAULT_EFFECT_TARGET
 
@@ -142,16 +140,17 @@ def solve_c_for_r2(X: np.ndarray, beta_unit: np.ndarray, target_r2: float, n: in
     return math.sqrt((target_r2 / (1.0 - target_r2)) * n / quad)
 
 
-def _auto_scale(X: np.ndarray, unit: np.ndarray, target: float, sigma: float) -> float:
+def _auto_scale(X: np.ndarray, unit: np.ndarray, target: float) -> float:
     """c such that the smallest standardized true effect equals ``target``.
 
     Standard errors come from the true model (support columns plus an
-    intercept), matching how estimator precision is assessed.
+    intercept) at the lab's noise level sigma = 1, matching how
+    estimator precision is assessed.
     """
     support = np.flatnonzero(unit)
     A = np.column_stack([np.ones(X.shape[0]), X[:, support]])
     xtx_inv = np.linalg.inv(A.T @ A)
-    se = sigma * np.sqrt(np.diag(xtx_inv)[1:])
+    se = np.sqrt(np.diag(xtx_inv)[1:])
     ratios = unit[support] / se
     return target / float(ratios.min())
 
@@ -180,7 +179,7 @@ def gen_beta(config: SimConfig, X: np.ndarray, source: RandomSource) -> np.ndarr
     if config.beta_type == 3:
         c = solve_c_for_r2(X, unit, 0.75, config.n)
     elif config.c_scale == "auto":
-        c = _auto_scale(X, unit, config.effect_target, config.sigma)
+        c = _auto_scale(X, unit, config.effect_target)
     else:
         c = float(config.c_scale)
     return c * unit
@@ -212,17 +211,17 @@ def run_config(
     """Run one configuration's replications and aggregate relative losses.
 
     One design matrix per (m, rho, seed) is held fixed across
-    replications; each replication draws fresh noise from its own
-    sub-stream.  All methods are evaluated on the same forward path as
-    the random oracle, and relative loss is the ratio of mean MSPEs
-    with a ratio-estimator standard error.
+    replications; each replication draws fresh standard normal noise
+    from its own sub-stream, and every method knows sigma2 = 1.  All
+    methods are evaluated on the same forward path as the random
+    oracle, and relative loss is the ratio of mean MSPEs with a
+    ratio-estimator standard error.
     """
     root = RandomSource(config.seed)
     X = gen_design(config.m, config.n, config.rho,
                    root.substream(1, config.m, _rho_code(config.rho)))
     beta = gen_beta(config, X, root.substream(2, config.m, _rho_code(config.rho),
                                               config.beta_type, config.p_index))
-    sigma2 = config.sigma**2
     signal = X @ beta
     pool = cross_products(X, True, signal)
     m, reps = config.m, config.replications
@@ -233,18 +232,18 @@ def run_config(
     for r in range(reps):
         eps = root.substream(3, config.m, _rho_code(config.rho),
                              config.beta_type, config.p_index, r)
-        y = config.beta0 + signal + config.sigma * eps.generator().standard_normal(config.n)
+        y = signal + eps.generator().standard_normal(config.n)
         _, rss_r, bias_r = forward_sweep(pool, y, m)
         rss[r, :len(rss_r)] = rss_r
         bias[r, :len(bias_r)] = bias_r
-    prefix = path_prefix_mspe(bias, sigma2)
+    prefix = path_prefix_mspe(bias, 1.0)
     _, oracle_vals = random_oracle(prefix)
 
     outs = []
     violations = 0
     for spec, rule in methods:
         rule, label = method_label(spec, rule)
-        _, k = choose_size(rss, sigma2, spec, m, rule)
+        _, k = choose_size(rss, 1.0, spec, m, rule)
         yv = np.take_along_axis(prefix, k[:, None], axis=1)[:, 0]
         violations += int((yv < oracle_vals).sum())
         ratio = float(yv.mean()) / float(oracle_vals.mean())

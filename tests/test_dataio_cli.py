@@ -192,7 +192,7 @@ class TestOutcomeRoundTrip:
 
     def test_every_config_field_round_trips(self, tmp_path):
         cfg = SimConfig(m=6, rho=-0.3, beta_type=1, p_index=2, replications=5,
-                        seed=11, sigma=0.7, beta0=-2.5, c_scale=1.25, effect_target=4.5)
+                        seed=11, c_scale=1.25, effect_target=4.5)
         out = run_config(cfg, [(PenaltySpec("aic"), None)])
         assert read_outcome(write_outcome(out, tmp_path)).config == cfg
 
@@ -200,7 +200,7 @@ class TestOutcomeRoundTrip:
         methods = (MethodOutcome("aic", 1.5, 2.0, 0.25),)
         default = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2)
         every = SimConfig(m=6, rho=-0.3, beta_type=3, p_index=4, replications=5, seed=2**40,
-                          sigma=0.7, beta0=-2.5, c_scale=1.25, effect_target=4.5)
+                          c_scale=1.25, effect_target=4.5)
         (tmp_path / "b").mkdir()
         texts = [write_outcome(ConfigOutcome(default, 0.1, methods, 2), tmp_path).read_text(),
                  write_outcome(ConfigOutcome(every, 0.1, methods, 2), tmp_path / "b").read_text()]
@@ -210,12 +210,12 @@ class TestOutcomeRoundTrip:
                 "aic\t1.5\t0.10000000000000001\t2\t0.25\n")
         assert texts[0] == (
             "# m\t6\n# rho\t0\n# beta_type\t1\n# p_index\t2\n# replications\t1000\n"
-            "# seed\t0\n# sigma\t1\n# beta0\t10\n# c_scale\tauto\n# effect_target\t3\n"
+            "# seed\t0\n# c_scale\tauto\n# effect_target\t3\n"
         ) + body
         assert texts[1] == (
             "# m\t6\n# rho\t-0.29999999999999999\n# beta_type\t3\n# p_index\t4\n"
-            "# replications\t5\n# seed\t1099511627776\n# sigma\t0.69999999999999996\n"
-            "# beta0\t-2.5\n# c_scale\t1.25\n# effect_target\t4.5\n"
+            "# replications\t5\n# seed\t1099511627776\n"
+            "# c_scale\t1.25\n# effect_target\t4.5\n"
         ) + body
 
     def test_file_lacking_a_field_is_rejected(self, tmp_path):
@@ -229,9 +229,9 @@ class TestOutcomeRoundTrip:
 
     @pytest.mark.parametrize("row, message", [
         ("aic\t1.5\t0.10000000000000001\tx14.16\t0.25",
-         "non-numeric cell at line 14, column 'relative_loss': 'x14.16'"),
-        ("aic\t1.5\t0.10000000000000001\t2\t0.25\t7", "line 14 has 6 cells, expected 5"),
-        ("aic\t1.5\t0.1\t2\t0.25", "line 14, column 'oracle_mspe' holds '0.1', "
+         "non-numeric cell at line {row}, column 'relative_loss': 'x14.16'"),
+        ("aic\t1.5\t0.10000000000000001\t2\t0.25\t7", "line {row} has 6 cells, expected 5"),
+        ("aic\t1.5\t0.1\t2\t0.25", "line {row}, column 'oracle_mspe' holds '0.1', "
                                     "not the cell's '0.10000000000000001'"),
         (None, "result file holds no method rows"),
     ], ids=["non-numeric", "extra-cell", "other-oracle", "no-rows"])
@@ -240,9 +240,25 @@ class TestOutcomeRoundTrip:
         path = write_outcome(ConfigOutcome(cfg, 0.1, (MethodOutcome("aic", 1.5, 2.0, 0.25),)),
                              tmp_path)
         lines = path.read_text().splitlines()
-        assert lines[12].startswith("method\t") and len(lines) == 14
-        lines[13:] = [row] if row else []
+        header = next(i for i, ln in enumerate(lines) if ln.startswith("method\t"))
+        assert len(lines) == header + 2
+        lines[header + 1:] = [row] if row else []
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_outcome(path)
+        assert str(info.value) == f"{path}: {message.format(row=header + 2)}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [ln for ln in lines if not ln.startswith("method\t")],
+         "result file lacks the method table header"),
+        (lambda lines: lines[:2] + ["seed 0"] + lines[2:],
+         "line 3 is not a '# name<TAB>value' line"),
+    ], ids=["no-header", "bare-line"])
+    def test_malformed_head_is_rejected(self, tmp_path, edit, message):
+        cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
+        path = write_outcome(ConfigOutcome(cfg, 0.1, (MethodOutcome("aic", 1.5, 2.0, 0.25),)),
+                             tmp_path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError) as info:
             read_outcome(path)
         assert str(info.value) == f"{path}: {message}"
@@ -469,14 +485,16 @@ class TestCli:
         args = ["simulate", "--config", str(cfgfile), "--out", str(out_dir), "--workers", "1"]
         assert main(args) == 0
         path = out_dir / "m8_rho+0.00_b1_p2.tsv"
+        lines = path.read_text().splitlines()
+        header = lines.index("method\tmean_mspe\toracle_mspe\trelative_loss\tse_relative_loss")
         path.write_text(path.read_text().replace("\naic\t", "\naic\tx"))
         capsys.readouterr()
         assert main(["summarize", "--in", str(out_dir)]) == 1
         err = capsys.readouterr().err
-        assert f"{path}: non-numeric cell at line 14, column 'mean_mspe': 'x" in err
+        assert f"{path}: non-numeric cell at line {header + 2}, column 'mean_mspe': 'x" in err
 
         # A file whose method rows are lost is rejected, and rerun.
-        path.write_text("\n".join(path.read_text().splitlines()[:13]) + "\n")
+        path.write_text("\n".join(lines[:header + 1]) + "\n")
         assert main(["summarize", "--in", str(out_dir)]) == 1
         assert f"{path}: result file holds no method rows" in capsys.readouterr().err
         assert main(args) == 0
@@ -518,6 +536,30 @@ class TestCli:
         assert rc == 1
         assert "m8_rho+0.00_b1_p2.tsv holds methods aic;" in err
         assert "m8_rho+0.00_b1_p1.tsv holds msfdr:0.05, bm" in err
+
+    @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2])])
+    def test_simulate_workers_default_to_usable_cpus(self, capsys, tmp_path, cpus, pools):
+        # os.cpu_count() counts CPUs this process may not run on; the
+        # affinity set is what a pool can use. No real pool is started.
+        import concurrent.futures
+
+        built = []
+
+        class Pool(contextlib.nullcontext):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(self)
+
+            map = staticmethod(map)
+
+        cfgfile = _write(tmp_path, "c.txt", "replications = 5\nm = 8\nrho = 0\nbeta_type = 1\n"
+                                            "p_index = 1,2\nmethods = aic\n")
+        with mock.patch("os.sched_getaffinity", lambda pid: set(range(cpus)), create=True), \
+             mock.patch("os.cpu_count", lambda: 4), \
+             mock.patch.object(concurrent.futures, "ProcessPoolExecutor", Pool):
+            assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert built == pools
+        assert "2 configuration(s) run, 0 skipped" in capsys.readouterr().out
 
     def test_select_rejects_non_finite_data(self, tmp_path, capsys):
         f = _write(tmp_path, "d.csv", "a,b,Y\n1,2,3\n4,5,6\n7,inf,9\n1,5,2\n3,3,1\n")
@@ -639,6 +681,20 @@ class TestCli:
         assert captured.out == ""
         want = {"0": "0.0", "-inf": "-inf"}.get(value, value)
         assert captured.err == f"error: sigma2 must be a positive finite number, got {want}\n"
+
+    def test_select_rejects_a_sigma2_of_another_form(self, capsys):
+        assert self._select("--method", "aic", "--sigma2", "2900") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sigma2 expects 'full-model' or 'known:<value>'\n"
+
+    def test_simulate_rejects_a_line_without_a_value(self, capsys, tmp_path):
+        cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho 0\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (f"error: {cfgfile}: malformed line 'rho 0' "
+                                           "(expected key = value)\n")
+        assert not out_dir.exists()
 
     def test_simulate_rejects_a_key_given_twice(self, capsys, tmp_path):
         cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho = 0\n# a comment\nm = 10\n")

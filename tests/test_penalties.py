@@ -1,6 +1,7 @@
 """Penalty-family algebra checked against independent formulas."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ class TestStepCostFactorConsistency:
     def test_tsfdr_has_no_standalone_cost(self):
         with pytest.raises(UnsupportedFamilyError):
             step_cost(PenaltySpec("tsfdr", q=0.05), 1, 10)
+
+    @pytest.mark.parametrize("family, k_max", [("msfdr", 0), ("msfdr", 11), ("bh", 0)])
+    def test_k_max_out_of_range_rejected(self, family, k_max):
+        with pytest.raises(ValueError, match=re.escape(f"k_max must lie in [1, 10], got {k_max}")):
+            step_costs(_spec(family), 10, k_max)
+
+    @pytest.mark.parametrize("k", [0, 11])
+    def test_model_size_out_of_range_rejected(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"model size must lie in [1, 10], got {k}")):
+            penalty_factor(_spec("tk"), k, 10)
 
 
 class TestPenaltyTable:

@@ -3,15 +3,19 @@
 A result comment follows a ``print(...)`` line, on the same line or on
 the next line alone; the printed line must equal it, or be followed in
 it by a parenthesized note, as in ``# 7 (8 counting the intercept)``.
+README's list of campaign keys is ``SimConfig``'s fields and ``methods``.
 """
 
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from stepfdr import SimConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
@@ -50,3 +54,11 @@ def test_readme_block_runs(block):
         assert len(printed) == len(expected)
         for got, want in zip(printed, expected):
             assert want == got or want.startswith(got + " ("), (got, want)
+
+
+def test_readme_lists_the_campaign_keys():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"\(keys: ([^)]*)\)", text).group(1)
+    keys = re.findall(r"`(\w+)`", listed)
+    assert sorted(keys) == sorted([f.name for f in fields(SimConfig)] + ["methods"])
+    assert len(keys) == len(set(keys))

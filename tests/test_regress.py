@@ -101,6 +101,13 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             least_squares(ds, [1, 1])
 
+    def test_subset_too_large_rejected(self):
+        # With its ones column, a raw dataset's fit of n - 1 columns has
+        # no residual degree of freedom left.
+        ds = _random_dataset(np.random.default_rng(5), n=6, m=5)
+        with pytest.raises(ValueError, match="subset too large for the number of observations"):
+            least_squares(ds, range(5))
+
     def test_rank_deficient_rejected(self):
         X = np.ones((8, 2))
         X[:, 0] = np.arange(8)
@@ -196,6 +203,22 @@ class TestForwardPathAndSigma2:
         assert path.sigma2 == estimate_sigma2(ds)
         assert path.rss.tolist() == forward_sweep(cross_products(ds.X, not standardized),
                                                   ds.y, 5)[1].tolist()
+
+    def test_two_observations_leave_no_entry(self):
+        ds = Dataset(y=np.array([1.0, -1.0]), X=np.array([[1.0], [-1.0]]), names=("a",),
+                     standardized=True)
+        with pytest.raises(ValueError, match="^n=2 leaves no room for one entry$"):
+            forward_path(ds, sigma2=1.0)
+
+    def test_response_in_the_span_is_a_degenerate_fit(self):
+        # Coordinate columns, taken as already centered, and y on one of
+        # them: the full model's residual is exactly zero.
+        X = np.eye(6)[:, :3]
+        ds = Dataset(y=2.0 * X[:, 1], X=X, names=("a", "b", "c"), standardized=True)
+        with pytest.warns(RuntimeWarning, match="numerically zero"), \
+                pytest.raises(ValueError, match="^degenerate fit: full-model RSS is zero, "
+                                                "sigma2 unavailable$"):
+            forward_path(ds)
 
     def test_sigma2_needs_degrees_of_freedom(self):
         rng = np.random.default_rng(11)

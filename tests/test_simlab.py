@@ -51,6 +51,8 @@ class TestGrid:
             SimConfig(m=20, rho=0.0, beta_type=4, p_index=1)
         with pytest.raises(ValueError):
             SimConfig(m=20, rho=0.0, beta_type=1, p_index=1, c_scale=-1.0)
+        with pytest.raises(ValueError, match="replications must be positive"):
+            SimConfig(m=20, rho=0.0, beta_type=1, p_index=1, replications=0)
 
     def test_config_key_and_n(self):
         cfg = SimConfig(m=20, rho=-0.5, beta_type=3, p_index=6)
@@ -220,7 +222,7 @@ class TestRunConfig:
         oracle, picked = [], {i: [] for i in range(len(methods))}
         for r in range(cfg.replications):
             eps = root.substream(3, *key, cfg.beta_type, cfg.p_index, r).generator()
-            y = cfg.beta0 + signal + eps.standard_normal(cfg.n)
+            y = signal + eps.standard_normal(cfg.n)
             _, rss, bias = forward_sweep(cross_products(X, True, signal), y, m)
             prefix = path_prefix_mspe(bias, 1.0)
             oracle.append(prefix.min())

@@ -121,19 +121,15 @@ def test_a_child_that_reports_more_rows_than_it_sends_falls_back(tmp_path):
 
 
 def test_children_are_reaped_when_the_parent_raises(tmp_path):
-    # Each part's rows outgrow a pipe's buffer: the children are still
-    # blocked writing when the parent stops reading.
+    # Each part's rows outgrow a pipe's buffer, and the table's view is
+    # taken once both shapes are read: the children are still blocked
+    # writing their rows when the parent raises.
     path = _table(tmp_path / "t.tsv", rows=2000)
-    read_full = dataio._read_full
-    reads = []
 
-    def failing_read(pipe, view):
-        reads.append(len(view))
-        if len(reads) > 2:  # both shapes are read; fail on the first part's rows
-            raise RuntimeError("interrupted")
-        return read_full(pipe, view)
+    def failing_view(obj):
+        raise RuntimeError("interrupted")
 
-    with mock.patch.object(dataio, "_read_full", failing_read):
+    with mock.patch.object(dataio, "memoryview", failing_view, create=True):
         with pytest.raises(RuntimeError, match="interrupted"):
             _outcome(path, 1)
     _no_child_left()
