@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .regress import Dataset, standardize
+from .regress import Dataset, _first_nonfinite, standardize
 
 __all__ = ["ExpansionSpec", "ingest", "expand", "diabetes_path", "load_diabetes"]
 
@@ -78,8 +78,7 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
 
     At most two arrays the size of X are alive at any time: the parsed
     table and X while the columns are copied out, then X and its
-    standardized copy (plus one block of columns while ``standardize``
-    sums their squares).
+    standardized copy.
 
     numpy parses the data in one streaming pass.  A body of at least
     ``SPLIT_BYTES`` is cut at newlines into one part per usable CPU and
@@ -222,22 +221,6 @@ def _parse_part(path, lo: int, hi: int, delim: str, w: int):
                 out.write(data)
     finally:
         os._exit(0)
-
-
-def _first_nonfinite(data: np.ndarray):
-    """(row, column) of the first non-finite cell of a table, or None.
-
-    A row sum is non-finite when a cell is, or when the sum overflows;
-    row sums keep the check from adding a matrix-sized temporary, and
-    only the rows they flag are checked cell by cell.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = data.sum(axis=1)
-    for row in np.flatnonzero(~np.isfinite(sums)):
-        bad = np.flatnonzero(~np.isfinite(data[row]))
-        if bad.size:
-            return int(row), int(bad[0])
-    return None
 
 
 def _parse_lines(path, header: list, delim: str) -> np.ndarray:

@@ -69,8 +69,8 @@ class PenaltySpec:
                 )
         if self.family == "fixed-alpha" and (self.p is None or not 0.0 < self.p < 1.0):
             raise ValueError("fixed-alpha requires p in (0, 1)")
-        if self.c_bm <= 0.0:
-            raise ValueError("c_bm must be positive")
+        if not 0.0 < self.c_bm < math.inf:
+            raise ValueError("c_bm must be positive and finite")
 
     def label(self) -> str:
         name = _LEVEL_FIELDS.get(self.family)

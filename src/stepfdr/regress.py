@@ -30,13 +30,28 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-12
-STANDARDIZE_BLOCK_BYTES = 1 << 18
 
 log = logging.getLogger(__name__)
 
 
 class DegenerateColumnError(ValueError):
     """A candidate column is constant and cannot be standardized."""
+
+
+def _first_nonfinite(data: np.ndarray):
+    """(row, column) of the first non-finite cell of a table, or None.
+
+    A row sum is non-finite when a cell is, or when the sum overflows;
+    row sums keep the check from adding a matrix-sized temporary, and
+    only the rows they flag are checked cell by cell.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = data.sum(axis=1)
+    for row in np.flatnonzero(~np.isfinite(sums)):
+        bad = np.flatnonzero(~np.isfinite(data[row]))
+        if bad.size:
+            return int(row), int(bad[0])
+    return None
 
 
 @dataclass(frozen=True)
@@ -46,7 +61,8 @@ class Dataset:
     Every model fit on a dataset has an intercept. ``standardized``
     marks X and y as already centered, which sweeps the intercept out;
     otherwise the pool centers X (``cross_products(X, True)``) and
-    ``least_squares`` fits a ones column.
+    ``least_squares`` fits a ones column. Every cell must be finite;
+    the error names the first bad row (from 1) and column.
     """
 
     y: np.ndarray
@@ -65,6 +81,14 @@ class Dataset:
             raise ValueError("need at least 2 observations and 1 candidate column")
         if len(self.names) != X.shape[1]:
             raise ValueError("one name per candidate column required")
+        bad = _first_nonfinite(X)
+        if bad is not None:
+            row, col = bad
+            raise ValueError(f"non-finite X cell at row {row + 1}, column "
+                             f"{self.names[col]!r}: {X[row, col]}")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ValueError(f"non-finite y cell at row {bad[0] + 1}: {y[bad[0]]}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "names", tuple(self.names))
@@ -111,27 +135,18 @@ def standardize(dataset: Dataset) -> Dataset:
     """Center y; center every column of X and scale it to unit length.
 
     The input is left untouched. Besides the centered copy of X, only
-    the squares of one block of columns are held at a time, at most
-    ``STANDARDIZE_BLOCK_BYTES`` of them unless two columns take more;
-    each column is summed on its own, so the lengths equal those of a
-    whole-matrix ``(Xc * Xc).sum(axis=0)`` bit for bit.
+    one value per column is held: ``np.einsum`` sums each column's
+    squares without forming them.
     """
     X = dataset.X
-    n, m = X.shape
-    # numpy sums a lone column of a C-ordered matrix pairwise but a wider
-    # block row by row, so no block, the tail included, is one column.
-    width = max(STANDARDIZE_BLOCK_BYTES // (n * X.itemsize), 2)
-    edges = [*range(0, max(m - 1, 1), width), m]
-    lengths = np.empty(m)
+    n = X.shape[0]
     # Entries past about 1e154 overflow the squared length (and past
     # about 1.8e308 / n the mean); the checks below report it as an
     # error, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         mean = X.mean(axis=0)
         Xc = X - mean
-        for a, b in zip(edges, edges[1:]):
-            block = Xc[:, a:b]
-            np.sum(block * block, axis=0, out=lengths[a:b])
+        lengths = np.einsum("ij,ij->j", Xc, Xc)
         # A constant column centers to the rounding error of its mean, at
         # most n * eps * |mean| in each of its n entries.
         constant = lengths <= n * (n * np.finfo(float).eps * mean) ** 2

@@ -56,6 +56,8 @@ def explicit_projection_mspe(X, beta, subset, sigma2) -> float:
 
 def run(instances: int = 500, seed: int = 20090194) -> list:
     """Run the brute-force comparison suite; returns (label, passed) per check."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = RandomSource(seed).generator()
     path_ok = mspe_ok = oracle_ok = True
     for _ in range(instances):

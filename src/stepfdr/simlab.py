@@ -35,10 +35,10 @@ __all__ = [
     "best_q_tables",
 ]
 
-# p-index 1..6 maps to these fractions of m (index 1 is sqrt(m)).
+# p_index 1..6 maps to these fractions of m (index 1 is sqrt(m)).
 P_FRACTIONS = {2: 0.25, 3: 1.0 / 3.0, 4: 0.5, 5: 0.75, 6: 1.0}
 
-DEFAULT_EFFECT_TARGET = 3.0  # smallest standardized true effect under c-scale "auto"
+DEFAULT_EFFECT_TARGET = 3.0  # smallest standardized true effect under c_scale "auto"
 
 
 def p_from_index(p_index: int, m: int) -> int:
@@ -47,7 +47,7 @@ def p_from_index(p_index: int, m: int) -> int:
     elif p_index in P_FRACTIONS:
         p = round(P_FRACTIONS[p_index] * m)
     else:
-        raise ValueError(f"p-index must lie in 1..6, got {p_index}")
+        raise ValueError(f"p_index must lie in 1..6, got {p_index}")
     return max(int(p), 1)
 
 
@@ -70,16 +70,18 @@ class SimConfig:
         if not abs(self.rho) < 1.0:
             raise ValueError("|rho| must be below 1")
         if self.beta_type not in (1, 2, 3):
-            raise ValueError("beta-type must be 1, 2 or 3")
+            raise ValueError("beta_type must be 1, 2 or 3")
         if self.replications < 1:
             raise ValueError("replications must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         p_from_index(self.p_index, self.m)  # validates
         if self.c_scale != "auto" and not (
             isinstance(self.c_scale, (int, float)) and 0 < self.c_scale < math.inf
         ):
-            raise ValueError(f"c-scale must be positive and finite or 'auto', got {self.c_scale!r}")
+            raise ValueError(f"c_scale must be positive and finite or 'auto', got {self.c_scale!r}")
         if not math.isfinite(self.effect_target):
-            raise ValueError(f"effect-target must be a finite number, got {self.effect_target}")
+            raise ValueError(f"effect_target must be a finite number, got {self.effect_target}")
 
     @property
     def n(self) -> int:

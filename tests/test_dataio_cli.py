@@ -650,10 +650,13 @@ class TestCli:
         ("replications = x", "replications: 'x' is not an integer"),
         ("effect_target = 3y", "effect_target: '3y' is not a number"),
         ("c_scale = big", "c_scale: 'big' is not a number"),
-        ("c_scale = inf", "c-scale must be positive and finite or 'auto', got inf"),
-        ("effect_target = nan", "effect-target must be a finite number, got nan"),
+        ("c_scale = inf", "c_scale must be positive and finite or 'auto', got inf"),
+        ("effect_target = nan", "effect_target must be a finite number, got nan"),
+        ("beta_type = 4", "beta_type must be 1, 2 or 3"),
+        ("p_index = 7", "p_index must lie in 1..6, got 7"),
+        ("seed = -1", "seed must be non-negative, got -1"),
     ], ids=["grid-float", "grid-int", "scalar-int", "scalar-float", "scalar-auto",
-            "infinite-scale", "nan-target"])
+            "infinite-scale", "nan-target", "beta-type", "p-index", "negative-seed"])
     def test_simulate_names_the_key_of_a_malformed_value(self, capsys, tmp_path, line, message):
         # The malformed line takes the place of its key's valid one.
         key = line.split(" = ")[0]
@@ -663,7 +666,7 @@ class TestCli:
         rc = main(["simulate", "--config", str(cfgfile), "--out", str(out_dir)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not list(out_dir.glob("*.tsv"))
+        assert not out_dir.exists()
 
     def test_penalty_table_rejects_a_rule(self, capsys):
         # Without the check, the table would print as for msfdr:0.05.
@@ -681,6 +684,15 @@ class TestCli:
         assert captured.out == ""
         want = {"0": "0.0", "-inf": "-inf"}.get(value, value)
         assert captured.err == f"error: sigma2 must be a positive finite number, got {want}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_select_rejects_a_bm_constant_that_is_not_finite(self, capsys, value):
+        # Without the check, nan selected BMI with a nan trace and inf
+        # printed numpy's warning and selected 2 terms.
+        assert self._select("--method", f"bm:{value}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: c_bm must be positive and finite\n"
 
     def test_select_rejects_a_sigma2_of_another_form(self, capsys):
         assert self._select("--method", "aic", "--sigma2", "2900") == 1
@@ -776,6 +788,14 @@ class TestCli:
             "PASS  per-prefix path MSPE matches explicit projection\n"
             "PASS  random oracle matches exhaustive prefix minimization\n"
         )
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_selftest_rejects_fewer_than_one_instance(self, capsys, instances):
+        # Without the check, no instance ran and all three checks passed.
+        assert main(["selftest", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: instances must be at least 1, got {instances}\n"
 
     def test_selfcheck_writes_nothing(self, capsys):
         from stepfdr import selfcheck

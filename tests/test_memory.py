@@ -3,10 +3,10 @@
 numpy reports its array buffers to tracemalloc, so the traced peak
 counts every data-sized array alive at once. ``ingest`` holds at most
 two (the parsed table while X is copied out of it, then X and its
-standardized copy) plus one block of columns, whether it parses the
-table itself or reads it from forked children; ``standardize`` alone
-holds the centered copy plus that block; ``expand`` holds the expanded
-pool and its standardized copy plus that block.
+standardized copy), whether it parses the table itself or reads it
+from forked children; ``standardize`` alone holds the centered copy,
+with no squared columns; ``expand`` holds the expanded pool and its
+standardized copy.
 """
 
 import os
@@ -68,7 +68,7 @@ def test_standardize_peaks_at_one_copy():
 
     ds, peak = _traced_peak(lambda: standardize(raw))
     assert ds.X.shape == (n, m)
-    assert peak <= 1.25 * X.nbytes
+    assert peak <= 1.1 * X.nbytes
 
 
 def test_expand_peaks_at_two_data_sized_arrays():

@@ -350,12 +350,15 @@ def test_raw_dataset_selects_as_its_standardized_copy(seed, m, extra, log_scale)
 
 
 def _standardize_check(X, y):
-    """``standardize`` equals the whole-matrix formula to the bit and
+    """``standardize`` equals the one-pass formula to the bit, and the
+    whole-matrix formula within the rounding of an n-term sum, and
     leaves its input alone."""
     X0, y0 = X.copy(), y.copy()
     ds = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(X.shape[1]))))
     Xc = X - X.mean(0)
-    assert ds.X.tobytes() == (Xc / np.sqrt((Xc * Xc).sum(0))).tobytes()
+    assert ds.X.tobytes() == (Xc / np.sqrt(np.einsum("ij,ij->j", Xc, Xc))).tobytes()
+    np.testing.assert_allclose(ds.X, Xc / np.sqrt((Xc * Xc).sum(0)),
+                               rtol=2 * X.shape[0] * np.finfo(float).eps, atol=0.0)
     assert ds.y.tobytes() == (y - y.mean()).tobytes()
     assert X.tobytes() == X0.tobytes() and y.tobytes() == y0.tobytes()
 
@@ -365,22 +368,17 @@ def _raw_columns(rng, n, m, order):
     return np.asarray(X, order=order), 5.0 * rng.standard_normal(n) + 2.0
 
 
-# The block budget is shrunk to `block` columns of n rows, so that small
-# tables cross block edges: widths 63 to 129 straddle one and two blocks
-# of 64.
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 50),
-       m=st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 127, 128, 129])),
-       block=st.sampled_from([2, 3, 64]), order=st.sampled_from("CF"), data=st.data())
-def test_standardize_matches_whole_matrix_formula(seed, n, m, block, order, data):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 50), m=st.integers(1, 200),
+       order=st.sampled_from("CF"), data=st.data())
+def test_standardize_matches_whole_matrix_formula(seed, n, m, order, data):
     X, y = _raw_columns(np.random.default_rng(seed), n, m, order)
-    with mock.patch.object(regress, "STANDARDIZE_BLOCK_BYTES", 8 * n * block):
-        _standardize_check(X, y)
+    _standardize_check(X, y)
 
-        j = data.draw(st.integers(0, m - 1))
-        X[:, j] = data.draw(st.sampled_from([0.0, 1.0, -2.5, 1e3]))
-        with pytest.raises(DegenerateColumnError, match=f"column 'x{j}' is constant"):
-            standardize(Dataset(y=y, X=X, names=tuple(f"x{k}" for k in range(m))))
+    j = data.draw(st.integers(0, m - 1))
+    X[:, j] = data.draw(st.sampled_from([0.0, 1.0, -2.5, 1e3]))
+    with pytest.raises(DegenerateColumnError, match=f"column 'x{j}' is constant"):
+        standardize(Dataset(y=y, X=X, names=tuple(f"x{k}" for k in range(m))))
 
 
 # A constant column whose mean rounds centers to a few ulps, not to 0;
@@ -398,13 +396,6 @@ def test_constant_columns_always_raise(seed, n, value, order, data):
     with np.errstate(over="ignore"), pytest.raises(
             DegenerateColumnError, match=f"column 'x{j}' is constant"):
         standardize(Dataset(y=y, X=X, names=("x0", "x1", "x2")))
-
-
-@pytest.mark.parametrize("order", "CF")
-def test_standardize_tall_columns_match_whole_matrix_formula(order):
-    # At 20,000 rows the block budget holds under two columns, so blocks
-    # are two wide; numpy's pairwise and row-by-row sums differ here.
-    _standardize_check(*_raw_columns(np.random.default_rng(3), 20_000, 7, order))
 
 
 # The three AS241 regions: central |p - 0.5| <= 0.425, intermediate down

@@ -39,6 +39,29 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(y=np.zeros(4), X=np.zeros(4), names=("a",))
 
+    @pytest.mark.parametrize("fit", [standardize, forward_path])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_cell_is_named_by_row_and_column(self, capfd, value, fit):
+        # Unchecked, standardize called a nan column too large, and the
+        # raw path's SVD wrote LAPACK lines to stderr before it failed.
+        rng = np.random.default_rng(3)
+        X, y = rng.standard_normal((30, 4)), rng.standard_normal(30)
+        X[6, 2] = value
+        message = f"non-finite X cell at row 7, column 'x2': {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(Dataset(y=y, X=X, names=("x0", "x1", "x2", "x3")))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_y_cell_is_named_by_row(self, capfd, value):
+        # Unchecked, a nan response gave a path with nan RSS and no error.
+        rng = np.random.default_rng(4)
+        X, y = rng.standard_normal((30, 4)), rng.standard_normal(30)
+        y[11] = value
+        with pytest.raises(ValueError, match=re.escape(f"non-finite y cell at row 12: {value}")):
+            forward_path(Dataset(y=y, X=X, names=("x0", "x1", "x2", "x3")))
+        assert capfd.readouterr() == ("", "")
+
 
 class TestStandardize:
     def test_centered_unit_columns(self):
