@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence
 
 from .dataio import ExpansionSpec, expand, ingest
 from .penalties import penalty_table
-from .regress import forward_path
 from .selector import method_label, msfdr_iterative, parse_method, select
 from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_tables, minimax_summary,
                      run_config)
@@ -64,11 +63,10 @@ def _cmd_select(args) -> int:
             ),
         )
 
-    path = forward_path(ds, sigma2=sigma2)
     if args.iterative:
-        res = msfdr_iterative(ds, spec.q, path=path)
+        res = msfdr_iterative(ds, spec.q, sigma2=sigma2)
     else:
-        res = select(ds, spec, rule=rule, path=path)
+        res = select(ds, spec, rule=rule, sigma2=sigma2)
 
     lines = []
     lines.append(f"# method\t{spec.label()}")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .quantiles import RandomSource
-from .regress import Dataset, cross_products, forward_sweep, least_squares
+from .regress import (Dataset, cross_products, forward_path, forward_sweep, least_squares,
+                      standardize)
 from .simlab import path_prefix_mspe, random_oracle
 
 __all__ = ["brute_force_forward", "explicit_projection_mspe", "run"]
@@ -66,15 +67,13 @@ def run(instances: int = 500, seed: int = 20090194) -> list:
         X = rng.standard_normal((n, m))
         beta = np.where(rng.random(m) < 0.5, rng.standard_normal(m), 0.0)
         y = X @ beta + rng.standard_normal(n)
-        Xs = X - X.mean(axis=0)
-        Xs = Xs / np.sqrt((Xs * Xs).sum(axis=0))
-        ys = y - y.mean()
+        ds = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(m))))
 
-        order, rss, _ = forward_sweep(cross_products(Xs, False), ys, min(m, n - 2))
-        b_order, b_rss = brute_force_forward(Xs, ys)
-        if order[: len(b_order)] != b_order:
+        path = forward_path(ds, sigma2=1.0)
+        b_order, b_rss = brute_force_forward(ds.X, ds.y)
+        if list(path.entered[: len(b_order)]) != b_order:
             path_ok = False
-        if not np.allclose(rss[: len(b_rss)], b_rss, rtol=1e-8):
+        if not np.allclose(path.rss[: len(b_rss)], b_rss, rtol=1e-8):
             path_ok = False
 
         signal = X @ beta

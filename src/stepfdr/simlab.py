@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -303,19 +303,16 @@ def minimax_summary(
 def best_q_tables(outcomes: Sequence[ConfigOutcome]) -> Dict[str, Dict[float, float]]:
     """Worst-case relative loss per q level for bh, tsfdr and msfdr, in that order.
 
-    Only a family's default-rule labels count; an "@rule" label is
-    another method.  Each distinct label is parsed once.
+    Each value is ``minimax_summary(outcomes, 1)`` of a family's
+    default-rule label; an "@rule" label is another method.  Each label
+    is parsed once.  Errors are ``minimax_summary``'s: no outcomes, or an
+    outcome that lacks a label of the first one.
     """
     families = ("bh", "tsfdr", "msfdr")
     levels = {}
-    for label in {mo.label for o in outcomes for mo in o.methods}:
+    for label, worst in minimax_summary(outcomes, 1).items():
         spec, rule = parse_method(label)
         if spec.family in families and rule is None:
-            levels[label] = (spec.family, spec.q)
-    by_level: Dict[Tuple[str, float], List[float]] = {}
-    for o in outcomes:
-        for mo in o.methods:
-            if mo.label in levels:
-                by_level.setdefault(levels[mo.label], []).append(mo.relative_loss)
-    return {family: {q: max(v) for (f, q), v in sorted(by_level.items()) if f == family}
+            levels[spec.family, spec.q] = worst
+    return {family: {q: v for (f, q), v in sorted(levels.items()) if f == family}
             for family in families}

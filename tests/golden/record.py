@@ -11,10 +11,15 @@ It writes, all through ``stepfdr.cli.main``:
   and a known σ²;
 - ``penalty-tables.txt``: ``penalty-table`` at m=40 for a few tokens;
 - ``campaign/``: the result files of a 16-cell campaign
-  (``campaign.cfg``) and its ``summarize`` output, ``summary.txt``.
+  (``campaign.cfg``) and its ``summarize`` output, ``summary.txt``;
+- ``acceptance-losses.tsv``: one "<cell key>, method label, relative
+  loss" line per method of every cell of the two 54-cell campaigns of
+  ``tests/test_acceptance.py`` (its ``_campaign(20)`` and
+  ``_campaign(40)``), the inputs of its bands.
 
 ``tests/test_golden.py`` recomputes the same outputs and compares them
-with these files. A change that means to move a number rewrites the
+with these files; ``tests/test_acceptance.py`` compares its two
+campaign fixtures with ``acceptance-losses.tsv``. A change that means to move a number rewrites the
 record with this script and says what moved, by how much and why.
 """
 
@@ -51,6 +56,7 @@ CAMPAIGN = {
                "aic,fs,tk,bm",
 }
 CAMPAIGN_DIR = HERE / "campaign"
+ACCEPTANCE_LOSSES = HERE / "acceptance-losses.tsv"
 
 
 def run_cli(argv) -> str:
@@ -92,6 +98,16 @@ def read_sections(path: Path) -> dict:
     return sections
 
 
+def acceptance_losses() -> str:
+    """The ``acceptance-losses.tsv`` lines of today's acceptance campaigns."""
+    sys.path.insert(0, str(HERE.parent))
+    import test_acceptance
+
+    outcomes = test_acceptance._campaign(20) + test_acceptance._campaign(40)
+    return "".join(f"{o.config.key()}\t{mo.label}\t{mo.relative_loss!r}\n"
+                   for o in outcomes for mo in o.methods)
+
+
 def main() -> int:
     write_sections(HERE / "select.txt", {req: select_report(req) for req in SELECT_REQUESTS})
     write_sections(HERE / "penalty-tables.txt", {m: penalty_table(m) for m in TABLE_METHODS})
@@ -102,6 +118,7 @@ def main() -> int:
         stale.unlink()
     run_cli(["simulate", "--config", str(config), "--out", str(CAMPAIGN_DIR), "--workers", "1"])
     (CAMPAIGN_DIR / "summary.txt").write_text(run_cli(["summarize", "--in", str(CAMPAIGN_DIR)]))
+    ACCEPTANCE_LOSSES.write_text(acceptance_losses())
     return 0
 
 

@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,20 @@ class TestCriterion6OracleDominance:
         for outcome in itertools.chain(campaign_m20, campaign_m40):
             for mo in outcome.methods:
                 assert mo.relative_loss >= 1.0
+
+
+ACCEPTANCE_LOSSES = Path(__file__).parent / "golden" / "acceptance-losses.tsv"
+
+
+def test_campaign_losses_match_the_record(campaign_m20, campaign_m40):
+    # tests/golden/record.py wrote the record from _campaign(20) and
+    # _campaign(40): the band values above cannot move unnoticed.
+    want = [line.split("\t") for line in ACCEPTANCE_LOSSES.read_text().splitlines()]
+    got = [(o.config.key(), mo.label, mo.relative_loss)
+           for o in campaign_m20 + campaign_m40 for mo in o.methods]
+    assert [cells[:2] for cells in want] == [[key, label] for key, label, _ in got]
+    for (key, label, loss), (_, _, recorded) in zip(got, want):
+        assert abs(loss - float(recorded)) <= 1e-12 * abs(float(recorded)), (key, label)
 
 
 # ---------------------------------------------------------------------------

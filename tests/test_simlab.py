@@ -317,3 +317,39 @@ class TestSummaries:
         assert tables == {"bh": {0.05: 2.0, 0.1: 2.1}, "tsfdr": {0.1: 2.5},
                           "msfdr": {0.05: 2.2}}
         assert list(tables) == ["bh", "tsfdr", "msfdr"]
+
+    def _two_levels_per_family(self):
+        labels = ("bh:0.05", "bh:0.1", "tsfdr:0.05", "tsfdr:0.1", "msfdr:0.05", "msfdr:0.1",
+                  "msfdr:0.05@global-min", "aic")
+        rng = np.random.default_rng(7)
+        return [
+            ConfigOutcome(config=SimConfig(m=8, rho=rho, beta_type=1, p_index=i),
+                          oracle_mspe=1.0,
+                          methods=tuple(MethodOutcome(lbl, 1.0, 1.0 + rng.random(), 0.01)
+                                        for lbl in labels))
+            for rho in (0.0, 0.5) for i in (1, 4)
+        ]
+
+    def test_best_q_tables_read_the_worst_one_summary(self):
+        from stepfdr.simlab import best_q_tables
+
+        outs = self._two_levels_per_family()
+        worst = minimax_summary(outs, 1)
+        tables = best_q_tables(outs)
+        assert {family: list(table) for family, table in tables.items()} == {
+            "bh": [0.05, 0.1], "tsfdr": [0.05, 0.1], "msfdr": [0.05, 0.1]}
+        for family, table in tables.items():
+            for q, value in table.items():
+                assert value == worst[f"{family}:{q:g}"]
+        # msfdr:0.05 is the default-rule label, not msfdr:0.05@global-min.
+        assert worst["msfdr:0.05"] != worst["msfdr:0.05@global-min"]
+
+    def test_best_q_tables_name_an_outcome_that_lacks_a_label(self):
+        from stepfdr.simlab import best_q_tables
+
+        outs = self._two_levels_per_family()
+        outs[2] = ConfigOutcome(outs[2].config, 1.0,
+                                tuple(mo for mo in outs[2].methods if mo.label != "tsfdr:0.1"))
+        with pytest.raises(ValueError,
+                           match="outcome m8_rho\\+0.50_b1_p1 lacks method tsfdr:0.1"):
+            best_q_tables(outs)
