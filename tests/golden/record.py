@@ -11,16 +11,19 @@ It writes, all through ``stepfdr.cli.main``:
   and a known σ²;
 - ``penalty-tables.txt``: ``penalty-table`` at m=40 for a few tokens;
 - ``campaign/``: the result files of a 16-cell campaign
-  (``campaign.cfg``) and its ``summarize`` output, ``summary.txt``;
-- ``acceptance-losses.tsv``: one "<cell key>, method label, relative
-  loss" line per method of every cell of the two 54-cell campaigns of
-  ``tests/test_acceptance.py`` (its ``_campaign(20)`` and
-  ``_campaign(40)``), the inputs of its bands.
+  (``campaign.cfg``) and its ``summarize`` output, ``summary.txt``.
+
+It also writes ``acceptance-losses.tsv`` from ``run_config``: one
+"cell key, method label, relative loss" line (tab-separated) per method
+of every cell of the two 54-cell campaigns of
+``tests/test_acceptance.py``, its ``_campaign(20)`` and
+``_campaign(40)``, whose losses the band tests read.
 
 ``tests/test_golden.py`` recomputes the same outputs and compares them
-with these files; ``tests/test_acceptance.py`` compares its two
-campaign fixtures with ``acceptance-losses.tsv``. A change that means to move a number rewrites the
-record with this script and says what moved, by how much and why.
+with these files, and ``tests/test_acceptance.py`` compares its two
+campaign fixtures with ``acceptance-losses.tsv``. A change that means
+to move a number rewrites the record with this script and says what
+moved, by how much and why.
 """
 
 from __future__ import annotations
