@@ -97,8 +97,7 @@ def _alphas(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
 
     BH constants run past k = m (up to just below 1): the two-stage
     procedure's second stage applies them over the whole path with the
-    pool shrunk to m - r1.  msfdr's reach k = m + 1 (alpha = 1), the
-    iterative procedure's largest index, which counts the intercept.
+    pool shrunk to m - r1.
     """
     k = np.arange(1.0, k_max + 1)
     if spec.family == "bh":

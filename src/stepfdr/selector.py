@@ -12,8 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .penalties import _LEVEL_FIELDS, PenaltySpec, _alphas, step_costs
-from .quantiles import two_sided_pvalue
+from .penalties import _LEVEL_FIELDS, PenaltySpec, step_costs
 from .regress import Dataset, ForwardPath, forward_path, least_squares
 
 __all__ = [
@@ -206,26 +205,22 @@ def msfdr_iterative(
     resulting model size back as the next index until it stabilizes.
     The intercept (every path has one) occupies position 1 of the size
     counter, so the counter is (entered candidates) + 1, up to m + 1,
-    while the pool size m counts candidates only.  The index strictly
-    rises until it stops, so the loop ends.  ``sigma2`` and ``path``
-    are taken as by ``select``.
+    while the pool size m counts candidates only.  An entry's p-value
+    is at most alpha_i exactly when its tsq reaches the step cost c_i;
+    alpha_{m+1} = 1 costs 0.  The index strictly rises until it stops
+    before the first entry k with p_k > alpha_k, where the default
+    step-down rule stops too.  ``sigma2`` and ``path`` are taken as by
+    ``select``.
     """
     spec = PenaltySpec("msfdr", q=q)
     path = _path(dataset, sigma2, path)
     m = dataset.m
-    pvals = np.array([two_sided_pvalue(t) for t in np.maximum(path.tsq, 0.0)])
-    alphas = _alphas(spec, m, m + 1).tolist()
+    costs = np.append(step_costs(spec, m, m), 0.0)
+    lowest = np.minimum.accumulate(path.tsq)
 
-    i = 1
-    iterations = 0
-    while True:
-        iterations += 1
-        run = 0
-        while run < path.depth and pvals[run] <= alphas[i - 1]:
-            run += 1
-        if run + 1 <= i:
-            break
-        i = run + 1
+    i = iterations = 1
+    while (run := int((lowest >= costs[i - 1]).sum())) >= i:
+        i, iterations = run + 1, iterations + 1
 
     trace, _ = choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))
     return _finish(dataset, path, spec, "iterative-p-to-enter", trace, run, iterations)

@@ -274,10 +274,11 @@ def minimax_summary(
     """Per-method mean of the worst-k relative losses over a set of outcomes.
 
     ``worst_k`` is a positive integer or the string "ALL" (plain mean).
-    The losses form one (methods x outcomes) matrix, in the first
-    outcome's method order; each row is sorted once, largest first, and
-    its first k entries are averaged, which sums them in the order
-    ``np.mean`` sums a sorted list of them.
+    Every outcome must hold the same labels.  The losses form one
+    (methods x outcomes) matrix, in the first outcome's method order;
+    each row is sorted once, largest first, and its first k entries
+    are averaged, which sums them in the order ``np.mean`` sums a
+    sorted list of them.
     """
     if not outcomes:
         raise ValueError("no configuration outcomes to summarize")
@@ -288,9 +289,12 @@ def minimax_summary(
     for j, o in enumerate(outcomes):
         by_label = {mo.label: mo.relative_loss for mo in o.methods}
         try:
-            losses[:, j] = [by_label[label] for label in labels]
+            losses[:, j] = [by_label.pop(label) for label in labels]
         except KeyError as exc:
             raise ValueError(f"outcome {o.config.key()} lacks method {exc.args[0]}") from None
+        if by_label:
+            raise ValueError(f"outcome {o.config.key()} holds method {next(iter(by_label))}, "
+                             f"which outcome {outcomes[0].config.key()} lacks")
     # Negating twice sorts in descending order with positive strides; a
     # reversed view could let numpy's iterator flip it and sum in
     # another order.
@@ -305,8 +309,8 @@ def best_q_tables(outcomes: Sequence[ConfigOutcome]) -> Dict[str, Dict[float, fl
 
     Each value is ``minimax_summary(outcomes, 1)`` of a family's
     default-rule label; an "@rule" label is another method.  Each label
-    is parsed once.  Errors are ``minimax_summary``'s: no outcomes, or an
-    outcome that lacks a label of the first one.
+    is parsed once.  Errors are ``minimax_summary``'s: no outcomes, or
+    outcomes whose labels differ.
     """
     families = ("bh", "tsfdr", "msfdr")
     levels = {}

@@ -9,7 +9,9 @@ full-depth entry orders against the orders the residual-matrix
 its scalar form; the penalty algebra of every family, and each
 table's lambda_k against the mean of its prefix of costs; the batched
 trace-to-size function against one call per path; the penalized
-trace against the p-to-enter test it encodes; method tokens
+trace against the p-to-enter test it encodes; the iterative msfdr
+fixed point on step costs against the same fixed point on p-values,
+and its selection against the default step-down rule's; method tokens
 read back as the spec and rule they were written from; ``ingest``
 against the line-by-line parser it falls back to, on clean and broken
 tables alike; the normal-equation ``estimate_sigma2`` against the
@@ -47,7 +49,16 @@ from stepfdr.regress import (
     least_squares,
     standardize,
 )
-from stepfdr.selector import RULES, choose_size, default_rule, method_label, parse_method, stop
+from stepfdr.selector import (
+    RULES,
+    choose_size,
+    default_rule,
+    method_label,
+    msfdr_iterative,
+    parse_method,
+    select,
+    stop,
+)
 from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, minimax_summary
 
 EPS = np.finfo(float).eps
@@ -508,6 +519,47 @@ def test_trace_rises_exactly_when_the_entry_test_fails(seed, m, extra, log_sigma
         if abs(rise) <= 1e-12 * scale or abs(p - alpha) <= 1e-6 * alpha:
             continue
         assert (rise > 0) == (p > alpha), (k, tsq, p, alpha)
+
+
+def _pvalue_fixed_point(tsq, q, m):
+    """The iterative msfdr size and iteration count, written on p-values.
+
+    Forward selection at p-to-enter alpha_i = i*q/(m + 1 - i*(1 - q)),
+    its size fed back as the next index i (the intercept is position 1)
+    until the index no longer rises.
+    """
+    pvals = [two_sided_pvalue(max(t, 0.0)) for t in tsq.tolist()]
+    i, iterations = 1, 0
+    while True:
+        iterations += 1
+        alpha = i * q / (m + 1 - i * (1.0 - q))
+        run = 0
+        while run < len(pvals) and pvals[run] <= alpha:
+            run += 1
+        if run + 1 <= i:
+            return run, iterations
+        i = run + 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), extra=st.sampled_from([2, 3, 6, 20]),
+       log_cond=st.floats(0.0, 4.0), log_sigma2=st.floats(-4.0, 0.0),
+       copies=st.integers(0, 2), q=st.floats(1e-4, 0.5, exclude_max=True), data=st.data())
+def test_iterative_msfdr_is_the_step_down_rule(seed, m, extra, log_cond, log_sigma2, copies, q,
+                                               data):
+    # Collinear pools (condition number up to 1e4), n as low as m + 2,
+    # and up to two exact duplicate columns.  The fixed point on step
+    # costs takes the same size in the same number of iterations as on
+    # p-values, and it selects what msfdr's default step-down rule does.
+    X, y = _pool(seed, m, m + extra, log_cond)
+    for _ in range(copies):
+        X = np.insert(X, data.draw(st.integers(0, X.shape[1])),
+                      X[:, data.draw(st.integers(0, m - 1))], axis=1)
+    ds = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(X.shape[1]))))
+    path = forward_path(ds, sigma2=10.0**log_sigma2)
+    res = msfdr_iterative(ds, q, path=path)
+    assert (res.k_selected, res.iterations) == _pvalue_fixed_point(path.tsq, q, ds.m)
+    assert res.selected == select(ds, PenaltySpec("msfdr", q=q), path=path).selected
 
 
 # Levels whose :g form loses digits (0.05000001, 1234567) are included.

@@ -297,6 +297,22 @@ class TestSummaries:
         with pytest.raises(ValueError, match="outcome m8_rho\\+0.00_b1_p3 lacks method b"):
             minimax_summary(outs, 1)
 
+    def test_label_only_a_later_outcome_holds_is_named(self):
+        from stepfdr.simlab import best_q_tables
+
+        outs = [
+            ConfigOutcome(config=SimConfig(m=8, rho=0.0, beta_type=1, p_index=i),
+                          oracle_mspe=1.0,
+                          methods=tuple(MethodOutcome(lbl, 1.0, loss, 0.01)
+                                        for lbl, loss in zip(labels, (1.3, 9.0))))
+            for i, labels in ((1, ("bh:0.05",)), (2, ("bh:0.05", "bh:0.1")))
+        ]
+        message = ("outcome m8_rho\\+0.00_b1_p2 holds method bh:0.1, "
+                   "which outcome m8_rho\\+0.00_b1_p1 lacks")
+        for summary in (lambda o: minimax_summary(o, 1), best_q_tables):
+            with pytest.raises(ValueError, match=message):
+                summary(outs)
+
     def test_best_q_tables_parse_each_label_once(self, monkeypatch):
         from stepfdr import simlab
         from stepfdr.simlab import ConfigOutcome
