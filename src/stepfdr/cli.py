@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import math
 import os
 import sys
 import typing
@@ -103,16 +104,17 @@ def _cmd_penalty_table(args) -> int:
     if args.kmax is not None and not 1 <= args.kmax <= args.m:
         raise ValueError(f"--kmax {args.kmax}: must lie in [1, {args.m}] (the --m value)")
     table = penalty_table(spec, args.m, args.kmax)
+    # One %-template per row over Python floats: indexing the arrays and
+    # formatting numpy scalars cell by cell costs more than the table
+    # itself. A family without step constants (alpha all nan) prints an
+    # empty alpha cell.
+    cols = (table.alpha.tolist(), table.lam.tolist(), table.cost.tolist())
+    row = f"%s%d\t{_FLOAT_FMT}\t{_FLOAT_FMT}\t{_FLOAT_FMT}"
+    if math.isnan(cols[0][0]):
+        row, cols = f"%s%d\t\t{_FLOAT_FMT}\t{_FLOAT_FMT}", cols[1:]
     head = f"{spec.label()}\t{table.m}\t"
-    # One pass over Python floats (a != a marks a nan): indexing the
-    # arrays and formatting numpy scalars cell by cell costs more than
-    # the table itself.
     out = ["family\tm\tk\talpha_k\tlambda_k\tstep_cost_k"]
-    out += [
-        f"{head}{k}\t{'' if a != a else _FLOAT_FMT % a}\t{_FLOAT_FMT % lam}\t{_FLOAT_FMT % c}"
-        for k, (a, lam, c) in enumerate(
-            zip(table.alpha.tolist(), table.lam.tolist(), table.cost.tolist()), 1)
-    ]
+    out += [row % (head, k, *cells) for k, cells in enumerate(zip(*cols), 1)]
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
     if args.out:

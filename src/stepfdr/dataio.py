@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import importlib.resources
 import io
@@ -74,7 +75,8 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     become candidates.  Header names must be distinct.  Cells must be
     finite numbers; errors name the offending row and column.  An empty
     file, a repeated name and a missing response are rejected from the
-    header, before any of the body is parsed.
+    header, before any of the body is parsed.  A leading UTF-8
+    byte-order mark, as spreadsheet programs write, is skipped.
 
     At most two arrays the size of X are alive at any time: the parsed
     table and X while the columns are copied out, then X and its
@@ -93,7 +95,7 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     With ``standardize_data=False`` X and y are returned as read; the
     dataset still selects with an intercept (see ``Dataset``).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         line = next((ln for ln in fh if ln.strip()), None)
         if line is None:
             raise ValueError(f"{path}: empty file")
@@ -136,7 +138,9 @@ def _body_parts(path) -> Optional[list]:
     if cpus < 2 or size < SPLIT_BYTES:
         return None
     with open(path, "rb") as fh:
-        # The header is the first line that is not blank as text.
+        # The header is the first line that is not blank as text, after
+        # the byte-order mark that the text paths' "utf-8-sig" drops.
+        fh.seek(3 if fh.read(3) == codecs.BOM_UTF8 else 0)
         start = next((fh.tell() for ln in fh if ln.decode("utf-8", "replace").strip()), size)
         count = min(cpus, 2 * (size - start) // SPLIT_BYTES)
         if count < 2:
@@ -228,7 +232,7 @@ def _parse_lines(path, header: list, delim: str) -> np.ndarray:
 
     The fallback of ``ingest``: every error names its row and column.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()][1:]
     if len(lines) < 3:
         raise ValueError(f"{path}: need at least 3 data rows, found {len(lines)}")

@@ -115,15 +115,24 @@ def step_costs(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
     """Marginal costs c_1..c_{k_max} of entering the k-th variable.
 
     For the FDR families c_k is the squared normal quantile at
-    alpha_k / 2, the p-to-enter test written as a penalty.  ``k_max``
-    lies in [1, m], except for bh (see ``_alphas``).
+    alpha_k / 2, the p-to-enter test written as a penalty; an alpha_k
+    so small that 1 - alpha_k/2 rounds to 1 raises a ValueError naming
+    the method, m and k.  ``k_max`` lies in [1, m], except for bh (see
+    ``_alphas``).
     """
     if k_max < 1 or (k_max > m and spec.family != "bh"):
         raise ValueError(f"k_max must lie in [1, {m}], got {k_max}")
     fam = spec.family
     k = np.arange(1.0, k_max + 1)
     if fam in ("bh", "msfdr", "fixed-alpha"):
-        z = inverse_normal_cdf(1.0 - _alphas(spec, m, k_max) / 2.0)
+        alphas = _alphas(spec, m, k_max)
+        upper = 1.0 - alphas / 2.0
+        if upper.max() >= 1.0:
+            first = int(np.argmax(upper >= 1.0))
+            raise ValueError(f"{spec.label()} at m={m}: step k={first + 1} has alpha_k = "
+                             f"{alphas[first]:.3g}, so 1 - alpha_k/2 rounds to 1 and its "
+                             "normal quantile is infinite; use a larger level")
+        z = inverse_normal_cdf(upper)
         return z * z
     if fam == "aic":
         return np.full(k_max, 2.0)
@@ -181,5 +190,5 @@ def penalty_table(spec: PenaltySpec, m: int, k_max: Optional[int] = None) -> Pen
     # cumsum(c) / k rounds differently, and the cost column (differences
     # of k * lambda_k) shows that at about 1e-11 relative for large m.
     costs = step_costs(spec, m, k_max)
-    lam = np.array([float(np.add.reduce(costs[:k])) / k for k in range(1, k_max + 1)])
+    lam = np.fromiter((float(np.add.reduce(costs[:k])) / k for k in range(1, k_max + 1)), float)
     return PenaltyTable(spec=spec, m=m, k_max=k_max, alpha=alpha, lam=lam)

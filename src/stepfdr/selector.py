@@ -117,26 +117,28 @@ def stop(trace: np.ndarray, rule: str) -> int | np.ndarray:
 
 
 def choose_size(rss: np.ndarray, sigma2: float, spec: PenaltySpec, m: int, rule: str):
-    """Penalized trace and the model size its stopping rule picks.
+    """Penalized trace, the model size its stopping rule picks, and the step costs.
 
     ``rss`` is RSS_0..RSS_K of one path, or one path per row padded
     with +inf past its depth; trace(k) = RSS_k + sigma2 * (c_1 + ... +
-    c_k).  Returns ``(trace, k)``, with one k per row for 2-d input.
+    c_k).  Returns ``(trace, k, c_1..c_K)``, each per row for 2-d input.
 
     Two-stage FDR: stage 1 is BH at q' = q/(1+q).  A path whose stage-1
     size r1 is neither 0 nor m is rescanned with the stage-2 constants
-    k*q'/(m - r1), and its trace is the stage-2 trace.
+    k*q'/(m - r1); its trace and costs are the stage-2 ones.
     """
     rss = np.asarray(rss, dtype=float)
     paths = np.atleast_2d(rss)
     K = paths.shape[1] - 1
     stage = PenaltySpec("bh", q=spec.q / (1.0 + spec.q)) if spec.family == "tsfdr" else spec
+    costs = np.empty((len(paths), K))
 
     def penalized(rows, pool):
-        trace = paths[rows].copy()
-        if K:
-            trace[:, 1:] += sigma2 * np.cumsum(step_costs(stage, pool, K))
-        return trace
+        try:
+            costs[rows] = c = step_costs(stage, pool, K) if K else np.zeros(0)
+        except ValueError as err:  # name the method asked for, not its BH stage
+            raise err if stage is spec else ValueError(f"{spec.label()}, stage {err}") from None
+        return paths[rows] + sigma2 * np.concatenate([[0.0], np.cumsum(c)])
 
     trace = penalized(slice(None), m)
     k = stop(trace, rule)
@@ -146,7 +148,7 @@ def choose_size(rss: np.ndarray, sigma2: float, spec: PenaltySpec, m: int, rule:
             rows = r1 == size
             trace[rows] = penalized(rows, m - size)
             k[rows] = stop(trace[rows], rule)
-    return (trace[0], int(k[0])) if rss.ndim == 1 else (trace, k)
+    return (trace[0], int(k[0]), costs[0]) if rss.ndim == 1 else (trace, k, costs)
 
 
 def _path(dataset: Dataset, sigma2: Optional[float], path: Optional[ForwardPath]) -> ForwardPath:
@@ -188,7 +190,7 @@ def select(
     if rule is None:
         rule = default_rule(spec)
     path = _path(dataset, sigma2, path)
-    trace, k = choose_size(path.rss, path.sigma2, spec, dataset.m, rule)
+    trace, k, _ = choose_size(path.rss, path.sigma2, spec, dataset.m, rule)
     return _finish(dataset, path, spec, rule, trace, k)
 
 
@@ -206,21 +208,19 @@ def msfdr_iterative(
     The intercept (every path has one) occupies position 1 of the size
     counter, so the counter is (entered candidates) + 1, up to m + 1,
     while the pool size m counts candidates only.  An entry's p-value
-    is at most alpha_i exactly when its tsq reaches the step cost c_i;
-    alpha_{m+1} = 1 costs 0.  The index strictly rises until it stops
-    before the first entry k with p_k > alpha_k, where the default
-    step-down rule stops too.  ``sigma2`` and ``path`` are taken as by
-    ``select``.
+    is at most alpha_i exactly when its tsq reaches c_i, the step cost
+    ``choose_size`` returns; costs fall with i, so an index past the
+    path's depth admits every entry.  The index strictly rises until it
+    stops before the first entry k with p_k > alpha_k, where the default
+    step-down rule stops too.  ``sigma2`` and ``path`` are as in ``select``.
     """
     spec = PenaltySpec("msfdr", q=q)
     path = _path(dataset, sigma2, path)
-    m = dataset.m
-    costs = np.append(step_costs(spec, m, m), 0.0)
+    trace, _, costs = choose_size(path.rss, path.sigma2, spec, dataset.m, default_rule(spec))
     lowest = np.minimum.accumulate(path.tsq)
 
-    i = iterations = 1
-    while (run := int((lowest >= costs[i - 1]).sum())) >= i:
+    run, i, iterations = 0, 1, 1
+    while i <= len(costs) and (run := int((lowest >= costs[i - 1]).sum())) >= i:
         i, iterations = run + 1, iterations + 1
 
-    trace, _ = choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))
     return _finish(dataset, path, spec, "iterative-p-to-enter", trace, run, iterations)

@@ -245,7 +245,7 @@ def run_config(
     violations = 0
     for spec, rule in methods:
         rule, label = method_label(spec, rule)
-        _, k = choose_size(rss, 1.0, spec, m, rule)
+        _, k, _ = choose_size(rss, 1.0, spec, m, rule)
         yv = np.take_along_axis(prefix, k[:, None], axis=1)[:, 0]
         violations += int((yv < oracle_vals).sum())
         ratio = float(yv.mean()) / float(oracle_vals.mean())

@@ -11,7 +11,13 @@ It writes, all through ``stepfdr.cli.main``:
   and a known σ²;
 - ``penalty-tables.txt``: ``penalty-table`` at m=40 for a few tokens;
 - ``campaign/``: the result files of a 16-cell campaign
-  (``campaign.cfg``) and its ``summarize`` output, ``summary.txt``.
+  (``campaign.cfg``) and its ``summarize`` output, ``summary.txt``;
+- ``north-star.txt``: ``penalty-table`` at m=1000 for msfdr:0.05, and
+  an msfdr:0.05 ``select`` on a seeded n=4000, m=1000 pool. That pool
+  is drawn in process (``north_star_dataset``), so no large file is
+  committed, and the select runs through the library: its k, selected
+  names and sigma2, the first 50 entries of its path and its trace at
+  k = 0..50.
 
 It also writes ``acceptance-losses.tsv`` from ``run_config``: one
 "cell key, method label, relative loss" line (tab-separated) per method
@@ -33,8 +39,12 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from stepfdr import cli
 from stepfdr.dataio import diabetes_path
+from stepfdr.regress import Dataset, forward_path, standardize
+from stepfdr.selector import parse_method, select
 
 HERE = Path(__file__).resolve().parent
 
@@ -60,6 +70,13 @@ CAMPAIGN = {
 }
 CAMPAIGN_DIR = HERE / "campaign"
 ACCEPTANCE_LOSSES = HERE / "acceptance-losses.tsv"
+NORTH_STAR = HERE / "north-star.txt"
+NORTH_STAR_N, NORTH_STAR_M, NORTH_STAR_SEED = 4000, 1000, 2009
+NORTH_STAR_METHOD = "msfdr:0.05"
+NORTH_STAR_ENTRIES = 50
+# The section keys of north-star.txt; the table's key is its command line.
+NORTH_STAR_TABLE = f"penalty-table --method {NORTH_STAR_METHOD} --m {NORTH_STAR_M}"
+NORTH_STAR_SELECT = f"select {NORTH_STAR_METHOD}"
 
 
 def run_cli(argv) -> str:
@@ -83,6 +100,33 @@ def select_report(request: str) -> str:
 
 def penalty_table(method: str) -> str:
     return run_cli(["penalty-table", "--method", method, "--m", str(TABLE_M)])
+
+
+def north_star_dataset() -> Dataset:
+    """Standardized seeded pool: Gaussian X, 40 true effects from 0.02 to 0.2, unit noise."""
+    rng = np.random.default_rng(NORTH_STAR_SEED)
+    X = rng.standard_normal((NORTH_STAR_N, NORTH_STAR_M))
+    beta = np.zeros(NORTH_STAR_M)
+    beta[rng.choice(NORTH_STAR_M, 40, replace=False)] = np.linspace(0.02, 0.2, 40)
+    y = X @ beta + rng.standard_normal(NORTH_STAR_N)
+    names = tuple(f"x{j:04d}" for j in range(NORTH_STAR_M))
+    return standardize(Dataset(y=y, X=X, names=names))
+
+
+def north_star_select() -> str:
+    """k, selected names and sigma2 of the north-star select, its first
+    path entries and its trace up to that many entries."""
+    ds = north_star_dataset()
+    path = forward_path(ds)
+    res = select(ds, parse_method(NORTH_STAR_METHOD)[0], path=path)
+    lines = [f"# n\t{ds.n}\tm\t{ds.m}\tseed\t{NORTH_STAR_SEED}",
+             f"# sigma2\t{res.sigma2:.17g}\t{res.sigma2_source}",
+             f"# k_selected\t{res.k_selected}"]
+    lines += [f"selected\t{ds.names[j]}" for j in res.selected]
+    lines += [f"entered\t{ds.names[j]}" for j in path.entered[:NORTH_STAR_ENTRIES]]
+    lines += ["k\tpenalized_rss"]
+    lines += [f"{k}\t{t:.17g}" for k, t in enumerate(res.trace[:NORTH_STAR_ENTRIES + 1].tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def write_sections(path: Path, sections: dict) -> None:
@@ -122,6 +166,8 @@ def main() -> int:
     run_cli(["simulate", "--config", str(config), "--out", str(CAMPAIGN_DIR), "--workers", "1"])
     (CAMPAIGN_DIR / "summary.txt").write_text(run_cli(["summarize", "--in", str(CAMPAIGN_DIR)]))
     ACCEPTANCE_LOSSES.write_text(acceptance_losses())
+    write_sections(NORTH_STAR, {NORTH_STAR_TABLE: run_cli(NORTH_STAR_TABLE.split()),
+                                NORTH_STAR_SELECT: north_star_select()})
     return 0
 
 

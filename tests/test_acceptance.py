@@ -180,20 +180,33 @@ def _campaign(m):
     return [_run_cell(cfg) for cfg in grid]
 
 
-# NOTE on the worst-case band targets below. Two of them are structurally
-# out of reach for this estimator under the stated conditions, and the
-# corresponding tests fail deliberately rather than being loosened:
+# NOTE on the worst-case band targets below. All five band tests fail,
+# deliberately rather than being loosened. The values are worst-1
+# relative losses at seed 0 (then the range over seeds 0-4):
 #
-# * Cp worst case > 3.5: with sigma^2 = 1 known, the noise-step RSS drops
-#   along a greedy forward path telescope to roughly chi^2_{m-p} in total
-#   (their sum is about m - p), so a global-minimum search with constant
-#   cost 2 can overshoot the oracle size by only a handful of parameters
-#   and its relative loss stays near 1.5 at this scale.
-# * MSFDR in [1.32, 1.62] (m=20) and [1.57, 1.87] (m=40): with equal true
-#   coefficients on adjacent AR(+/-0.5) columns and the signal size pinned
-#   by R^2 = 0.75, the conditional drops of late true variables straddle
-#   the step constants and the worst configuration settles near 2.8-3.1
-#   under every stopping rule, seed, and variance convention tried.
+# * Cp worst case > 3.5 (m=20): 1.51 (1.48-1.55). With sigma^2 = 1 known,
+#   the noise-step RSS drops along a greedy forward path telescope to
+#   roughly chi^2_{m-p} in total (their sum is about m - p), so a
+#   global-minimum search with constant cost 2 can overshoot the oracle
+#   size by only a handful of parameters and its relative loss stays
+#   near 1.5 at this scale.
+# * MSFDR in [1.32, 1.62] (m=20) and [1.57, 1.87] (m=40): 3.10 (2.76-3.43)
+#   and 2.77 (2.77-3.24) under its default first-local-min rule, always
+#   in a rho = -0.5, beta type 3 cell. Most of the gap is the stopping
+#   rule: global-min gives 2.21 (2.09-2.35) and 1.94 (1.94-2.07),
+#   last-crossing 1.85 (1.85-2.05) and 1.85 (1.73-1.88), inside the m=40
+#   band at four of the five seeds. With equal true coefficients on
+#   adjacent AR(+/-0.5) columns and the signal size pinned by R^2 = 0.75,
+#   the conditional drops of late true variables straddle the step
+#   constants, and the first local minimum can stop before them.
+# * TK in [1.51, 1.81] (m=20): 2.47 (2.22-2.53). Its worst cell is sparse
+#   (p-index 1: p = 4 of m = 20) at every seed, with beta type 1 at four
+#   of them. The smallest true effect is t = effect_target = 3, while
+#   TK's first cost, 4*log(m/k), asks for |t| >= sqrt(4*log(20)) = 3.46.
+# * Ordering (m=20): the first assert, msfdr <= tk, fails: 3.10 > 2.47,
+#   and msfdr is above tk at every seed. The two later asserts would fail
+#   too at every seed: tk (2.22-2.53) is above fixed-alpha (1.80-2.02),
+#   and dj (2.43-2.67) is above aic (1.48-1.55).
 #
 # The dominance property (criterion 6) and the diabetes selections are
 # unaffected and pass exactly.

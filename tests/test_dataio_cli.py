@@ -754,6 +754,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_penalty_table_names_a_level_too_small_for_the_quantile(self, capsys):
+        # Without the check: "probability must lie in the open interval (0, 1), got 1.0".
+        assert main(["penalty-table", "--method", "msfdr:1e-15", "--m", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: msfdr:1e-15 at m=10: step k=1 has alpha_k = 1e-16, so "
+                                "1 - alpha_k/2 rounds to 1 and its normal quantile is infinite; "
+                                "use a larger level\n")
+
     def test_simulate_with_workers_matches_a_serial_run(self, capsys, tmp_path):
         cfgfile = _write(tmp_path, "c.txt", "seed = 3\nreplications = 10\nm = 8\nrho = 0\n"
                                             "beta_type = 1\np_index = 1,2,4\nmethods = aic,bm\n")

@@ -56,13 +56,20 @@ def _report_floats(cells) -> dict:
     return {1: REL if cells[0].isdigit() else COEF_REL}  # a trace row or a coefficient row
 
 
+def _table_floats(cells) -> dict:
+    # family, m, k, then alpha_k (empty where undefined), lambda_k, step_cost_k
+    return {3: REL, 4: REL, 5: REL} if cells[2] != "k" else {}
+
+
 _SELECT = record.read_sections(record.HERE / "select.txt")
 _TABLES = record.read_sections(record.HERE / "penalty-tables.txt")
+_NORTH_STAR = record.read_sections(record.NORTH_STAR)
 
 
 def test_record_holds_every_request():
     assert list(_SELECT) == list(record.SELECT_REQUESTS)
     assert list(_TABLES) == list(record.TABLE_METHODS)
+    assert list(_NORTH_STAR) == [record.NORTH_STAR_TABLE, record.NORTH_STAR_SELECT]
 
 
 @pytest.mark.parametrize("request_", record.SELECT_REQUESTS)
@@ -72,9 +79,19 @@ def test_select_report(request_):
 
 @pytest.mark.parametrize("method", record.TABLE_METHODS)
 def test_penalty_table(method):
-    # family, m, k, then alpha_k (empty where undefined), lambda_k, step_cost_k
-    _assert_lines(record.penalty_table(method), _TABLES[method],
-                  lambda cells: {3: REL, 4: REL, 5: REL} if cells[2] != "k" else {})
+    _assert_lines(record.penalty_table(method), _TABLES[method], _table_floats)
+
+
+def test_north_star_penalty_table():
+    _assert_lines(record.run_cli(record.NORTH_STAR_TABLE.split()),
+                  _NORTH_STAR[record.NORTH_STAR_TABLE], _table_floats)
+
+
+def test_north_star_select():
+    # "# sigma2" and the trace rows ("k", value) hold a float in column 1;
+    # names, sizes and the entry order are exact.
+    _assert_lines(record.north_star_select(), _NORTH_STAR[record.NORTH_STAR_SELECT],
+                  lambda cells: {1: REL} if cells[0] == "# sigma2" or cells[0].isdigit() else {})
 
 
 def test_campaign():

@@ -487,10 +487,10 @@ def test_batched_size_matches_one_path_at_a_time(data, m, nrows, rule, spec):
         drops = data.draw(st.lists(st.floats(0.0, 8.0), min_size=depth, max_size=depth))
         rows[i, : depth + 1] = 100.0 - sigma2 * np.concatenate([[0.0], np.cumsum(drops)])
         depths.append(depth)
-    traces, ks = choose_size(rows, sigma2, spec, m, rule)
+    traces, ks, _ = choose_size(rows, sigma2, spec, m, rule)
     assert traces.shape == rows.shape and ks.shape == (nrows,)
     for i, depth in enumerate(depths):
-        trace, k = choose_size(rows[i, : depth + 1], sigma2, spec, m, rule)
+        trace, k, _ = choose_size(rows[i, : depth + 1], sigma2, spec, m, rule)
         assert isinstance(k, int) and ks[i] == k <= depth
         assert traces[i, : depth + 1].tolist() == trace.tolist()
         assert np.all(traces[i, depth + 1:] == np.inf)
@@ -511,7 +511,7 @@ def test_trace_rises_exactly_when_the_entry_test_fails(seed, m, extra, log_sigma
     X, y = _pool(seed, m, m + extra, log_cond=1.0)
     ds = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(m))))
     path = forward_path(ds, sigma2=10.0**log_sigma2)
-    trace, _ = choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))
+    trace, _, _ = choose_size(path.rss, path.sigma2, spec, m, default_rule(spec))
     scale = float(np.abs(trace).max())
     for k, tsq in enumerate(path.tsq.tolist(), 1):
         rise = trace[k] - trace[k - 1]

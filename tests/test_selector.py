@@ -1,9 +1,13 @@
 """Stopping rules and selection plumbing on constructed paths."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from helpers import orthogonal_dataset as _orthogonal_dataset
+from stepfdr import selector
 from stepfdr.penalties import PenaltySpec, step_alpha, step_costs
 from stepfdr.quantiles import two_sided_pvalue
 from stepfdr.regress import Dataset, forward_path, least_squares, standardize
@@ -60,7 +64,7 @@ class TestPenalizedTrace:
         ds = _orthogonal_dataset([0.001, 0.01, 0.2, 0.6])
         path = forward_path(ds, sigma2=1.0)
         spec = PenaltySpec("msfdr", q=0.05)
-        trace, _ = choose_size(path.rss, path.sigma2, spec, ds.m, default_rule(spec))
+        trace, _, _ = choose_size(path.rss, path.sigma2, spec, ds.m, default_rule(spec))
         costs = step_costs(spec, ds.m, path.depth)
         ref = path.rss.copy()
         ref[1:] += np.cumsum(costs)  # sigma2 = 1
@@ -139,6 +143,72 @@ class TestMsfdrIterative:
         res_path = select(ds, PenaltySpec("msfdr", q=0.05), sigma2=1.0)
         assert res_iter.k_selected == res_path.k_selected == 2
 
+    def test_one_step_costs_call_per_selection(self, diabetes_main):
+        # The fixed point reads the costs choose_size built for the trace.
+        path = forward_path(diabetes_main)
+        with mock.patch.object(selector, "step_costs", wraps=step_costs) as costs:
+            res = msfdr_iterative(diabetes_main, 0.05, path=path)
+        assert costs.call_count == 1
+        assert res.k_selected == select(diabetes_main, PenaltySpec("msfdr", q=0.05),
+                                        path=path).k_selected
+
+    def test_a_path_that_stops_before_the_pool_ends(self):
+        # Three copies of one column: the path enters it once and stops at
+        # depth 2 of m = 4, and an index past the depth admits both entries.
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 50))
+        y = 5.0 * a + 4.0 * b + rng.standard_normal(50)
+        X = np.column_stack([a, b, a, a])
+        ds = standardize(Dataset(y=y, X=X, names=("a", "b", "a2", "a3")))
+        path = forward_path(ds, sigma2=1.0)
+        assert path.depth == 2 < ds.m
+        res = msfdr_iterative(ds, 0.05, path=path)
+        assert (res.k_selected, res.iterations) == (2, 2)
+        assert res.selected == select(ds, PenaltySpec("msfdr", q=0.05), path=path).selected
+
+
+class TestChooseSizeCosts:
+    def test_one_path_gets_the_costs_of_its_depth(self, diabetes_main):
+        path = forward_path(diabetes_main)
+        spec = PenaltySpec("msfdr", q=0.05)
+        _, _, costs = choose_size(path.rss, path.sigma2, spec, diabetes_main.m, "global-min")
+        assert costs.tolist() == step_costs(spec, diabetes_main.m, path.depth).tolist()
+
+    def test_a_rescanned_tsfdr_row_holds_its_stage_two_costs(self):
+        # The paths of test_batched_rescan_keeps_stage_one_sizes: r1 = 1 and 2.
+        rss = np.array([[100.0, 96.0, 94.0, 93.0, 92.9],
+                        [100.0, 96.0, 93.0, 92.0, 91.9]])
+        _, _, costs = choose_size(rss, 1.0, PenaltySpec("tsfdr", q=0.4), 4, "first-local-min")
+        stage = PenaltySpec("bh", q=0.4 / 1.4)
+        assert costs.tolist() == [step_costs(stage, 3, 4).tolist(), step_costs(stage, 2, 4).tolist()]
+
+    def test_an_empty_path_has_no_costs(self):
+        trace, k, costs = choose_size(np.array([7.0]), 1.0, PenaltySpec("msfdr", q=0.05), 3,
+                                      "first-local-min")
+        assert (trace.tolist(), k, costs.shape) == ([7.0], 0, (0,))
+
+
+class TestALevelTooSmallForTheQuantile:
+    """Below alpha_k of about 1.1e-16, 1 - alpha_k/2 rounds to 1: the error
+    names the method asked for, its level, m and the step."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ds: select(ds, PenaltySpec("msfdr", q=1e-15)),
+         "msfdr:1e-15 at m=10: step k=1 has alpha_k = 1e-16"),
+        (lambda ds: msfdr_iterative(ds, 1e-15),
+         "msfdr:1e-15 at m=10: step k=1 has alpha_k = 1e-16"),
+        (lambda ds: select(ds, PenaltySpec("tsfdr", q=1e-15)),
+         "tsfdr:1e-15, stage bh:9.999999999999989e-16 at m=10: step k=1 has alpha_k = 1e-16"),
+        (lambda ds: select(ds, PenaltySpec("fixed-alpha", p=1e-17)),
+         "fixed-alpha:1e-17 at m=10: step k=1 has alpha_k = 1e-17"),
+    ], ids=["select-msfdr", "msfdr_iterative", "select-tsfdr", "select-fixed-alpha"])
+    def test_each_entry_point_names_the_method(self, diabetes_main, call, message):
+        # Without the check: "probability must lie in the open interval (0, 1), got 1.0".
+        tail = ", so 1 - alpha_k/2 rounds to 1 and its normal quantile is infinite; " \
+               "use a larger level"
+        with pytest.raises(ValueError, match=f"^{re.escape(message + tail)}$"):
+            call(diabetes_main)
+
 
 class TestTsfdr:
     def test_stage_two_uses_reduced_pool(self):
@@ -164,7 +234,7 @@ class TestTsfdr:
         spec = PenaltySpec("tsfdr", q=0.05)
         a = select(ds, spec, sigma2=1.0)
         path = forward_path(ds, sigma2=1.0)
-        _, b = choose_size(path.rss, path.sigma2, spec, ds.m, "first-local-min")
+        _, b, _ = choose_size(path.rss, path.sigma2, spec, ds.m, "first-local-min")
         assert a.k_selected == b
 
     def test_batched_rescan_keeps_stage_one_sizes(self):
@@ -174,7 +244,7 @@ class TestTsfdr:
         # would move it to 3.
         rss = np.array([[100.0, 96.0, 94.0, 93.0, 92.9],
                         [100.0, 96.0, 93.0, 92.0, 91.9]])
-        _, k = choose_size(rss, 1.0, PenaltySpec("tsfdr", q=0.4), 4, "first-local-min")
+        _, k, _ = choose_size(rss, 1.0, PenaltySpec("tsfdr", q=0.4), 4, "first-local-min")
         assert k.tolist() == [2, 3]
 
     def test_stage_one_empty_is_final(self):

@@ -162,3 +162,38 @@ def test_one_process_while_a_second_thread_is_alive(tmp_path):
         assert _outcome(path, 1) == want
     assert split.called
     _no_child_left()
+
+
+@pytest.mark.parametrize("split_bytes", [ONE_PROCESS, 1], ids=["one-process", "forked"])
+@pytest.mark.parametrize("lead", ["", "\n"], ids=["header", "blank-line"])
+@pytest.mark.parametrize("response_first", [True, False], ids=["Y-first", "Y-last"])
+@pytest.mark.parametrize("delim", ["\t", ","], ids=["tab", "comma"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, delim, response_first, lead,
+                                              split_bytes):
+    # A spreadsheet's "CSV UTF-8" starts with a byte-order mark. It is not
+    # part of the first name, and the forked path finds the same header
+    # line, so neither path falls back to the line parser.
+    names = ["Y", "x1", "x2"] if response_first else ["x1", "x2", "Y"]
+    table = np.random.default_rng(7).standard_normal((40, 3))
+    text = delim.join(names) + "\n" + "".join(delim.join("%.17g" % v for v in row) + "\n"
+                                               for row in table)
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + (lead + text).encode())
+    want = _outcome(plain, ONE_PROCESS)
+    with mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split, \
+         mock.patch.object(dataio, "_parse_lines", wraps=dataio._parse_lines) as line_parser:
+        assert _outcome(marked, split_bytes) == want
+    assert want[0] == ("x1", "x2")
+    assert split.called == (split_bytes == 1)
+    assert not line_parser.called
+    _no_child_left()
+
+
+def test_the_line_parser_skips_a_byte_order_mark(tmp_path):
+    # "1_000" only Python's float reads, so the line parser reads the body.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xef\xbb\xbfY,x1\n1,1_000\n2,3\n4,5\n")
+    ds = ingest(path, "Y", standardize_data=False)
+    assert ds.names == ("x1",)
+    assert ds.y.tolist() == [1.0, 2.0, 4.0] and ds.X[:, 0].tolist() == [1000.0, 3.0, 5.0]
