@@ -13,13 +13,14 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "Dataset",
     "ForwardPath",
+    "Pool",
     "DegenerateColumnError",
     "standardize",
     "least_squares",
@@ -192,17 +193,24 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     return coef[len(intercept):], float(resid @ resid)
 
 
-def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] = None):
-    """The cross-product form of a pool: ``(X, G, start, center, signal)``.
+class Pool(NamedTuple):
+    """A pool in cross-product form, as ``cross_products`` returns it."""
 
-    X comes back centered when ``center`` is set; G = X'X of the
-    returned X, ``start`` holds each column's squared norm before
-    centering (G's diagonal plus n times its squared mean), and
-    ``signal`` is ``(X'b, b'b)`` of the true mean b, centered with X,
-    or None. Centering is the intercept's sweep step: it leaves a
-    constant column rounding noise, far under ``start``. A dataset's
-    pool is ``cross_products(dataset.X, not dataset.standardized)``, so
-    an X that ``standardize`` already centered is not copied again.
+    X: np.ndarray  # centered when ``center`` is set
+    G: np.ndarray  # X'X of that X
+    dead: np.ndarray  # columns centering leaves at most RANK_RTOL of their squared norm
+    center: bool
+    signal: Optional[tuple]  # (X'b, b'b) of the true mean b, centered with X, or None
+
+
+def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] = None) -> Pool:
+    """The ``Pool`` of X, centered when ``center`` is set.
+
+    Centering is the intercept's sweep step. It leaves a constant column
+    rounding noise, far under its squared norm before centering (G's
+    diagonal plus n times its squared mean): such a column is ``dead``,
+    as is an all-zero one. A dataset's pool is ``cross_products(dataset.X,
+    not dataset.standardized)``, so a standardized X is not copied again.
     """
     X = np.asarray(X, dtype=float)
     b = None if true_mean is None else np.asarray(true_mean, dtype=float)
@@ -212,12 +220,29 @@ def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] 
         if b is not None:
             b = b - b.mean()
     G = X.T @ X
-    start = G.diagonal() + X.shape[0] * means * means if center else G.diagonal()
+    shift = X.shape[0] * means * means if center else 0.0
     signal = None if b is None else (X.T @ b, float(b @ b))
-    return X, G, start, center, signal
+    return Pool(X, G, G.diagonal() <= RANK_RTOL * (G.diagonal() + shift), center, signal)
 
 
-def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
+def _rank_deficiency(names: tuple, pool: Pool) -> str:
+    """Why a pool's full model is rank deficient, naming the columns at fault.
+
+    Dead columns are constant. A natural-order QR of the others names each
+    column that the columns before it explain to RANK_RTOL of its squared
+    norm, so of two copies of a column it names the later one.
+    """
+    live = np.flatnonzero(~pool.dead)
+    r = np.linalg.qr(pool.X[:, live], mode="r").diagonal()
+    explained = live[r * r <= RANK_RTOL * pool.G.diagonal()[live]]
+    faults = [f"{names[j]!r} is constant" for j in np.flatnonzero(pool.dead)]
+    faults += [f"{names[j]!r} lies in the span of the intercept and the columns before it"
+               for j in explained]
+    found = ": " + ", ".join(faults) if faults else ""
+    return f"full model is rank deficient{found}; a known sigma2 skips the full-model fit"
+
+
+def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
     """Residual variance of the full model with its intercept, RSS_full / (n - m - 1).
 
     ``pool`` is the dataset's ``cross_products(dataset.X, not
@@ -229,13 +254,11 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
     the residual y - Xb itself: an error d in b moves it by only |Xd|^2,
     while RSS_0 minus the explained sum of squares loses most of its
     digits at high R^2. A Cholesky factor of X'X checks the rank first:
-    when it fails or a squared pivot is at most RANK_RTOL times its
-    column's diagonal of X'X (the pivots of the correlation matrix, so
-    column units do not matter), a warning gives the smallest ratio and
-    ``least_squares`` fits the model by SVD instead; it raises
-    ``LinAlgError`` when the pool is rank deficient.
-    When the pool centers X, a column that centering leaves with at most
-    RANK_RTOL of its squared norm counts as constant and also falls back.
+    when the pool has a dead column, the factor fails, or a squared pivot
+    is at most RANK_RTOL times its column's diagonal of X'X (unit-free),
+    a warning gives the smallest ratio (0 for a dead column) and
+    ``least_squares`` fits by SVD instead; on a rank-deficient pool the
+    ``LinAlgError`` names the columns at fault.
     """
     dof = dataset.n - dataset.m - 1
     if dof <= 0:
@@ -245,17 +268,14 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
         )
     if pool is None:
         pool = cross_products(dataset.X, not dataset.standardized)
-    X, G, start, center, _ = pool
-    y = dataset.y - dataset.y.mean() if center else dataset.y
-    diag = G.diagonal()
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        ratio = 0.0
-    else:
-        ratio = float((L.diagonal() ** 2 / diag).min())
-        if center:
-            ratio = min(ratio, float((diag / start).min()))
+    X, G = pool.X, pool.G
+    y = dataset.y - dataset.y.mean() if pool.center else dataset.y
+    ratio = 0.0
+    if not pool.dead.any():
+        try:
+            ratio = float((np.linalg.cholesky(G).diagonal() ** 2 / G.diagonal()).min())
+        except np.linalg.LinAlgError:
+            pass
     if ratio > RANK_RTOL:
         b = np.linalg.solve(G, X.T @ y)
         r = y - X @ b
@@ -266,20 +286,19 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[tuple] = None) -> float:
             "column's squared norm = %.3g <= %g); fitting sigma2 by SVD least squares",
             ratio, RANK_RTOL,
         )
-        _, rss_full = least_squares(dataset, range(dataset.m))
+        try:
+            _, rss_full = least_squares(dataset, range(dataset.m))
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(_rank_deficiency(dataset.names, pool)) from None
     scale = float(dataset.y @ dataset.y)
     if rss_full <= 1e-12 * max(scale, 1.0):
-        warnings.warn(
-            "full-model residual is numerically zero; the variance "
-            "estimate is degenerate (response lies in the span of the "
-            "candidates)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn("full-model residual is numerically zero; the variance estimate is "
+                      "degenerate (response lies in the span of the candidates)",
+                      RuntimeWarning, stacklevel=2)
     return rss_full / dof
 
 
-def forward_sweep(pool: tuple, y: np.ndarray, k_max: int):
+def forward_sweep(pool: Pool, y: np.ndarray, k_max: int):
     """Greedy forward selection by maximal RSS reduction on a ``cross_products`` pool.
 
     Returns ``(order, rss, bias)`` where ``rss[k]`` is the residual sum
@@ -293,11 +312,10 @@ def forward_sweep(pool: tuple, y: np.ndarray, k_max: int):
     Ties (drops within RANK_RTOL * RSS_0 of the best) break toward the
     lowest column index; the path stops early once no candidate reduces
     the RSS by more than RANK_RTOL * RSS_0. A column whose residual
-    squared norm falls to RANK_RTOL times its own starting one (after
-    centering) never enters, nor does one that centering leaves with
-    at most RANK_RTOL of its squared norm; both floors are unit-free.
+    squared norm falls to RANK_RTOL times its squared norm after centering
+    never enters, nor does a dead one; both floors are unit-free.
     """
-    X, G, start, center, signal = pool
+    X, G, dead, center, signal = pool
     y = np.asarray(y, dtype=float)
     y = y - y.mean() if center else y
     m = X.shape[1]
@@ -309,7 +327,7 @@ def forward_sweep(pool: tuple, y: np.ndarray, k_max: int):
     # Residual squared column norms; inf marks entered or degenerate columns.
     norms2 = G.diagonal().copy()
     floor = RANK_RTOL * norms2
-    norms2[norms2 <= RANK_RTOL * start] = math.inf
+    norms2[dead] = math.inf
     rss0 = float(y @ y)
     tol = RANK_RTOL * rss0
     rss = [rss0]
@@ -346,16 +364,16 @@ def forward_sweep(pool: tuple, y: np.ndarray, k_max: int):
             bscores -= g * pb
             bias.append(max(bias[-1] - pb * pb, 0.0))
 
-    bias_arr = np.array(bias) if bias is not None else None
-    return order, np.array(rss), bias_arr
+    return order, np.array(rss), None if bias is None else np.array(bias)
 
 
 def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPath:
     """Run forward selection on a dataset and attach the sigma2 scale.
 
     The path runs until no candidate is left or one more entry would
-    leave no residual degree of freedom.  ``sigma2=None`` estimates the
-    scale from the full model; a positive value is used as a known
+    leave no residual degree of freedom, and a warning names the columns
+    that never entered when it stops sooner.  ``sigma2=None`` estimates
+    the scale from the full model; a positive value is used as a known
     variance.
     """
     k_max = min(dataset.m, dataset.n - 2)  # one dof goes to the intercept
@@ -371,6 +389,11 @@ def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPat
         s2 = float(sigma2)
         source = "known"
     order, rss, _ = forward_sweep(pool, dataset.y, k_max)
+    if len(order) < k_max:
+        left = sorted(set(range(dataset.m)) - set(order))
+        log.warning("forward path stopped at depth %d of %d: no column left reduces the RSS by "
+                    "more than %g of RSS_0; never entered: %s", len(order), k_max, RANK_RTOL,
+                    ", ".join(repr(dataset.names[j]) for j in left))
     return ForwardPath(
         entered=order,
         rss=rss,

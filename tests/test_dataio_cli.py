@@ -1,6 +1,7 @@
 """Text ingestion, quadratic expansion, and the command-line surface."""
 
 import contextlib
+import sys
 import warnings
 from unittest import mock
 
@@ -301,6 +302,29 @@ class TestCli:
         assert "# k_selected\t6" in captured
         for name in ("BMI", "S5", "BP", "S1", "SEX", "S2"):
             assert f"\n{name}\t" in captured or captured.startswith(f"{name}\t")
+
+    def test_select_names_the_column_that_makes_the_pool_rank_deficient(self, capsys):
+        # Without --square-exclude SEX the pool holds SEX^2, a linear
+        # function of the two-valued SEX and the intercept.
+        argv = ["select", "--data", diabetes_path(), "--response", "Y",
+                "--method", "msfdr:0.05", "--expand"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: full model is rank deficient: 'SEX^2' lies in the span of the intercept "
+            "and the columns before it; a known sigma2 skips the full-model fit")
+
+    def test_a_closed_stdout_pipe_ends_quietly(self, capsys):
+        # As when the output is piped into `head`, which exits early: the
+        # write raises BrokenPipeError, and the request still succeeds.
+        closed = mock.Mock()
+        closed.write.side_effect = BrokenPipeError(32, "Broken pipe")
+        with mock.patch.object(sys, "stdout", closed):
+            rc = main(["penalty-table", "--method", "bh:0.05", "--m", "10"])
+        assert rc == 0
+        assert closed.write.called
+        assert capsys.readouterr() == ("", "")
 
     def test_one_process_serves_requests_without_leaking_state(self, capsys):
         # One parser serves every call in a process; no option set by one

@@ -8,6 +8,7 @@ not depend on the BLAS build.
 """
 
 import importlib.util
+import logging
 from pathlib import Path
 
 import pytest
@@ -87,11 +88,15 @@ def test_north_star_penalty_table():
                   _NORTH_STAR[record.NORTH_STAR_TABLE], _table_floats)
 
 
-def test_north_star_select():
+def test_north_star_select(caplog):
     # "# sigma2" and the trace rows ("k", value) hold a float in column 1;
-    # names, sizes and the entry order are exact.
-    _assert_lines(record.north_star_select(), _NORTH_STAR[record.NORTH_STAR_SELECT],
+    # names, sizes and the entry order are exact. The path reaches k_max
+    # and sigma2 needs no SVD fit, so nothing is logged.
+    with caplog.at_level(logging.WARNING, logger="stepfdr.regress"):
+        text = record.north_star_select()
+    _assert_lines(text, _NORTH_STAR[record.NORTH_STAR_SELECT],
                   lambda cells: {1: REL} if cells[0] == "# sigma2" or cells[0].isdigit() else {})
+    assert caplog.records == []
 
 
 def test_campaign():

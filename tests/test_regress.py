@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stepfdr import regress
+from stepfdr.dataio import ExpansionSpec, expand
 from stepfdr.regress import (
     Dataset,
     DegenerateColumnError,
@@ -310,6 +311,26 @@ class TestForwardPathAndSigma2:
         assert [estimate_sigma2(ds) for ds in pools] == pytest.approx(expected, rel=1e-14)
         assert caplog.records == []
 
+    def test_rank_deficiency_names_the_columns_at_fault(self, diabetes_main):
+        # SEX takes two values, so without its exclusion the quadratic
+        # pool's SEX^2 is a linear function of SEX and the intercept.
+        quad = expand(diabetes_main, ExpansionSpec())
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            estimate_sigma2(quad)
+        assert str(err.value) == (
+            "full model is rank deficient: 'SEX^2' lies in the span of the intercept and "
+            "the columns before it; a known sigma2 skips the full-model fit")
+        # A raw pool: a constant column, and a copy named after its original.
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((12, 5))
+        X[:, 1] = 0.1
+        X[:, 2] = X[:, 4]
+        ds = Dataset(y=rng.standard_normal(12), X=X, names=tuple("abcde"))
+        with pytest.raises(np.linalg.LinAlgError, match="^full model is rank deficient: 'b' is "
+                           "constant, 'e' lies in the span of the intercept and the columns "
+                           "before it; a known sigma2 skips the full-model fit$"):
+            estimate_sigma2(ds)
+
     def test_invalid_sigma2_rejected(self):
         rng = np.random.default_rng(13)
         ds = standardize(_random_dataset(rng))
@@ -334,3 +355,35 @@ class TestForwardPathAndSigma2:
         with pytest.raises(ValueError):
             ForwardPath(entered=(), rss=np.array([1.0]), sigma2=-1.0,
                         sigma2_source="known")
+
+
+def _wide_benchmark_dataset(seed=0, n=2000, m=500, effects=20):
+    """The benchmark's seeded wide select pool, drawn in process as its setup draws it."""
+    rng = np.random.default_rng([seed, 7])
+    X = rng.standard_normal((n, m))
+    support = np.sort(rng.choice(m, effects, replace=False))
+    beta = np.zeros(m)
+    beta[support] = rng.choice([-1.0, 1.0], effects) * rng.uniform(0.25, 0.5, effects)
+    y = 1.0 + X @ beta + rng.standard_normal(n)
+    return standardize(Dataset(y=y, X=X, names=tuple(f"X{j}" for j in range(m))))
+
+
+class TestPathLog:
+    def test_a_short_path_names_the_columns_never_entered(self, diabetes_main, caplog):
+        quad = expand(diabetes_main, ExpansionSpec())
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"):
+            path = forward_path(quad, sigma2=2900.0)
+        assert (path.depth, quad.m) == (64, 65)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            "forward path stopped at depth 64 of 65: no column left reduces the RSS by more "
+            "than 1e-12 of RSS_0; never entered: 'SEX^2'")
+
+    def test_full_depth_paths_log_nothing(self, caplog, diabetes_main, diabetes_quad):
+        # tests/test_golden.py checks the north-star pool's select the same way.
+        pools = (diabetes_main, diabetes_quad, _wide_benchmark_dataset())
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"):
+            depths = [forward_path(ds).depth for ds in pools]
+        assert depths == [min(ds.m, ds.n - 2) for ds in pools]
+        assert caplog.records == []

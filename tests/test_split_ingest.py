@@ -164,6 +164,23 @@ def test_one_process_while_a_second_thread_is_alive(tmp_path):
     _no_child_left()
 
 
+def test_carriage_return_lines_are_read_in_one_process(tmp_path):
+    # A file whose lines end in "\r" alone is one line to the binary scan
+    # for the header, so its body is never cut; the text paths read the
+    # table that "\n" line ends give.
+    path = _table(tmp_path / "t.tsv")
+    cr = tmp_path / "cr.tsv"
+    cr.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    want = _outcome(path, ONE_PROCESS)
+    with mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split, \
+         mock.patch.object(dataio, "_parse_lines", wraps=dataio._parse_lines) as line_parser:
+        assert _outcome(cr, 1) == want
+    assert want[1] == (40, 4)
+    assert not split.called
+    assert not line_parser.called
+    _no_child_left()
+
+
 @pytest.mark.parametrize("split_bytes", [ONE_PROCESS, 1], ids=["one-process", "forked"])
 @pytest.mark.parametrize("lead", ["", "\n"], ids=["header", "blank-line"])
 @pytest.mark.parametrize("response_first", [True, False], ids=["Y-first", "Y-last"])
