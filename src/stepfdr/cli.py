@@ -15,22 +15,18 @@ import itertools
 import math
 import os
 import sys
-import typing
-from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
+# Both outcome functions stay bound here: bench/tracer.py traces them as cli.*.
+from .campaign import (campaign_grid, pending_cells, read_campaign_file, read_outcome,
+                       read_results, write_outcome)
 from .dataio import ExpansionSpec, expand, ingest
 from .penalties import penalty_table
-from .selector import method_label, msfdr_iterative, parse_method, select
-from .simlab import (ConfigOutcome, MethodOutcome, SimConfig, best_q_tables, minimax_summary,
-                     run_config)
+from .selector import msfdr_iterative, parse_method, select
+from .simlab import best_q_tables, minimax_summary, run_config
 
 _FLOAT_FMT = "%.17g"
-
-
-def _fmt(v: float) -> str:
-    return _FLOAT_FMT % v
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +52,8 @@ def _cmd_select(args) -> int:
             raise ValueError(f"--sigma2 {args.sigma2!r}: the known value is not a number") from None
     ds = ingest(args.data, response=args.response)
     if args.expand:
-        ds = expand(
-            ds,
-            ExpansionSpec(
-                square_excluded=tuple(args.square_exclude or ()),
-                include_interactions=not args.no_interactions,
-            ),
-        )
+        ds = expand(ds, ExpansionSpec(square_excluded=tuple(args.square_exclude or ()),
+                                      include_interactions=not args.no_interactions))
 
     if args.iterative:
         res = msfdr_iterative(ds, spec.q, sigma2=sigma2)
@@ -72,7 +63,7 @@ def _cmd_select(args) -> int:
     lines = []
     lines.append(f"# method\t{spec.label()}")
     lines.append(f"# rule\t{res.rule}")
-    lines.append(f"# sigma2\t{_fmt(res.sigma2)}\t{res.sigma2_source}")
+    lines.append(f"# sigma2\t{_FLOAT_FMT % res.sigma2}\t{res.sigma2_source}")
     lines.append(f"# n\t{ds.n}\tm\t{ds.m}")
     lines.append(f"# k_selected\t{res.k_selected}")
     lines.append(f"# k_with_intercept\t{res.k_with_intercept}")
@@ -123,214 +114,20 @@ def _cmd_penalty_table(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# simulate and summarize (campaign.py owns the campaign directory)
 # ---------------------------------------------------------------------------
-
-
-def read_campaign_file(path) -> dict:
-    """Parse the `key = value` campaign format (lists comma-separated).
-
-    Keys are those of ``campaign_grid``, each given once.  Lines
-    starting with '#' are comments.
-    """
-    cfg: dict = {}
-    lines: dict = {}
-    for lineno, ln in enumerate(Path(path).read_text().splitlines(), 1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if "=" not in ln:
-            raise ValueError(f"{path}: malformed line {ln!r} (expected key = value)")
-        key, _, val = ln.partition("=")
-        key = key.strip().lower()
-        if key in cfg:
-            raise ValueError(f"{path}: key {key!r} is set on lines {lines[key]} and {lineno}")
-        cfg[key], lines[key] = val.strip(), lineno
-    return cfg
-
-
-# Each SimConfig field, in order, with its declared type, which decides
-# how its value is written to and read from text.
-_hints = typing.get_type_hints(SimConfig)
-_CONFIG_TYPES = {f.name: _hints[f.name] for f in fields(SimConfig)}
-
-
-def _config_text(name: str, value) -> str:
-    """A config value as written to a result file (floats as %.17g)."""
-    return str(value) if _CONFIG_TYPES[name] is int or isinstance(value, str) else _fmt(value)
-
-
-def _config_value(name: str, text: str):
-    """Parse a config value by its field's declared type ("auto" where allowed).
-
-    A malformed value is reported with the field's name.
-    """
-    kind = _CONFIG_TYPES[name]
-    if kind not in (int, float) and text == "auto":
-        return "auto"
-    try:
-        return int(text) if kind is int else float(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name}: {text!r} is not {what}") from None
-
-
-# The grid axes with their default lists. Every other SimConfig field
-# is a scalar campaign key, with SimConfig's default.
-_GRID_AXES = {"m": "20", "rho": "-0.5,0,0.5", "beta_type": "1,2,3", "p_index": "1,2,3,4,5,6"}
-
-
-def campaign_grid(cfg: dict):
-    """Cells, methods and labels of a campaign: each combination of the
-    grid axes, with the scalar keys (or SimConfig's defaults) in each cell.
-
-    The keys are SimConfig's fields and ``methods``.  Unknown keys, two
-    method tokens with one label, and two cells that would share a
-    result file, are rejected.
-    """
-    unknown = sorted(set(cfg) - set(_CONFIG_TYPES) - {"methods"})
-    if unknown:
-        raise ValueError(f"unknown campaign key(s): {', '.join(unknown)}")
-    scalars = {key: _config_value(key, cfg[key]) for key in _CONFIG_TYPES
-               if key in cfg and key not in _GRID_AXES}
-    axes = {key: [_config_value(key, tok) for tok in cfg.get(key, default).split(",")]
-            for key, default in _GRID_AXES.items()}
-    methods = [parse_method(tok) for tok in cfg.get("methods", "msfdr:0.05").split(",")]
-    labels = [method_label(spec, rule)[1] for spec, rule in methods]
-    twice = [label for i, label in enumerate(labels) if label in labels[:i]]
-    if twice:
-        raise ValueError(f"methods: two tokens name method {twice[0]!r}")
-    grid = [SimConfig(**dict(zip(axes, cell)), **scalars)
-            for cell in itertools.product(*axes.values())]
-    cells = {}
-    for config in grid:
-        other = cells.setdefault(config.key(), config)
-        if other is not config:
-            raise ValueError(f"cells {_cell(other)} and {_cell(config)} both map to "
-                             f"result file {config.key()}.tsv")
-    return grid, methods, labels
-
-
-def _cell(config: SimConfig) -> str:
-    return "(" + ", ".join(f"{key}={getattr(config, key)!r}" for key in _GRID_AXES) + ")"
-
-
-_TABLE_COLUMNS = ("method", "mean_mspe", "oracle_mspe", "relative_loss", "se_relative_loss")
-_TABLE_HEADER = "\t".join(_TABLE_COLUMNS)
-
-
-def write_outcome(outcome: ConfigOutcome, out_dir: Path) -> Path:
-    """Write one cell's result file atomically (temp file, then rename)."""
-    c = outcome.config
-    path = out_dir / f"{c.key()}.tsv"
-    lines = [f"# {name}\t{_config_text(name, getattr(c, name))}" for name in _CONFIG_TYPES]
-    lines += [
-        f"# oracle_mspe\t{_fmt(outcome.oracle_mspe)}",
-        f"# dominance_violations\t{outcome.dominance_violations}",
-        _TABLE_HEADER,
-    ]
-    for mo in outcome.methods:
-        lines.append(
-            f"{mo.label}\t{_fmt(mo.mean_mspe)}\t{_fmt(outcome.oracle_mspe)}"
-            f"\t{_fmt(mo.relative_loss)}\t{_fmt(mo.se_relative_loss)}"
-        )
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
-
-
-def read_outcome(path: Path) -> ConfigOutcome:
-    """Read one cell's result file: '# name<TAB>value' lines, the method
-    table's header, then one row per method.
-
-    Every row repeats the cell's oracle MSPE as written on its
-    '# oracle_mspe' line.  Errors name the file, and the line and column
-    where they can.
-    """
-    lines = path.read_bytes().decode().splitlines()
-    try:
-        start = lines.index(_TABLE_HEADER) + 1
-    except ValueError:
-        raise ValueError(f"{path}: result file lacks the method table header") from None
-    meta = {}
-    for lineno, ln in enumerate(lines[:start - 1], 1):
-        if not ln.startswith("#"):
-            if ln.strip():
-                raise ValueError(f"{path}: line {lineno} is not a '# name<TAB>value' line")
-            continue
-        name, _, value = ln[1:].strip().partition("\t")
-        meta[name] = value
-    missing = [name for name in (*_CONFIG_TYPES, "oracle_mspe") if name not in meta]
-    if missing:
-        raise ValueError(f"{path}: result file lacks {', '.join(missing)}")
-    oracle_text = meta["oracle_mspe"]
-    try:
-        config = SimConfig(**{name: _config_value(name, meta[name]) for name in _CONFIG_TYPES})
-        oracle = float(oracle_text)
-        violations = int(meta.get("dominance_violations") or 0)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    methods = []
-    for lineno, ln in enumerate(lines[start:], start + 1):
-        cells = ln.split("\t")
-        if len(cells) != len(_TABLE_COLUMNS):
-            if not ln.strip():
-                continue
-            raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
-                             f"expected {len(_TABLE_COLUMNS)}")
-        if cells[2] != oracle_text:
-            raise ValueError(f"{path}: line {lineno}, column 'oracle_mspe' holds {cells[2]!r}, "
-                             f"not the cell's {oracle_text!r}")
-        try:
-            methods.append(MethodOutcome(cells[0], float(cells[1]), float(cells[3]),
-                                         float(cells[4])))
-        except ValueError:
-            for col in (1, 3, 4):
-                try:
-                    float(cells[col])
-                except ValueError:
-                    raise ValueError(f"{path}: non-numeric cell at line {lineno}, column "
-                                     f"{_TABLE_COLUMNS[col]!r}: {cells[col]!r}") from None
-    if not methods:
-        raise ValueError(f"{path}: result file holds no method rows")
-    return ConfigOutcome(config=config, oracle_mspe=oracle, methods=tuple(methods),
-                         dominance_violations=violations)
-
-
-def _stale(path: Path, config: SimConfig, labels: List[str]) -> Optional[str]:
-    """Why an existing result file does not hold this cell's result, or None."""
-    try:
-        done = read_outcome(path)
-    except (OSError, ValueError) as exc:
-        return f"an unreadable file ({exc})"
-    if done.config != config:
-        return "a different configuration"
-    if [mo.label for mo in done.methods] != labels:
-        return "a different method list"
-    return None
 
 
 def _cmd_simulate(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    cfg = read_campaign_file(args.config)
-    grid, methods, labels = campaign_grid(cfg)
+    grid, methods, labels = campaign_grid(read_campaign_file(args.config))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pending = []
-    for config in grid:
-        target = out_dir / f"{config.key()}.tsv"
-        if target.exists() and not args.force:
-            reason = _stale(target, config, labels)
-            if reason is None:
-                continue
+    pending = pending_cells(grid, labels, out_dir, args.force)
+    for config, reason in pending.items():
+        if reason is not None:
             print(f"rerun {config.key()}: result file holds {reason}")
-        pending.append(config)
     workers = args.workers
     if workers is None:  # the CPUs this process may run on
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -349,11 +146,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# summarize
-# ---------------------------------------------------------------------------
-
-
 def _cmd_summarize(args) -> int:
     worst_k = args.worst_k
     if worst_k != "ALL":
@@ -363,17 +155,7 @@ def _cmd_summarize(args) -> int:
             worst_k = 0
         if worst_k < 1:
             raise ValueError(f"--worst-k {args.worst_k!r}: expected a positive integer or ALL")
-    in_dir = Path(args.in_dir)
-    files = sorted(in_dir.glob("*.tsv"))
-    if not files:
-        raise ValueError(f"no campaign output files found in {in_dir}")
-    outcomes = [read_outcome(f) for f in files]
-    labels = [mo.label for mo in outcomes[0].methods]
-    for f, o in zip(files, outcomes):
-        other = [mo.label for mo in o.methods]
-        if other != labels:
-            raise ValueError(f"{f} holds methods {', '.join(other)}; "
-                             f"{files[0]} holds {', '.join(labels)}")
+    outcomes, labels = read_results(args.in_dir)
 
     ms = sorted({o.config.m for o in outcomes})
     pairs = sorted({(o.config.m, o.config.rho) for o in outcomes})

@@ -256,9 +256,9 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
     digits at high R^2. A Cholesky factor of X'X checks the rank first:
     when the pool has a dead column, the factor fails, or a squared pivot
     is at most RANK_RTOL times its column's diagonal of X'X (unit-free),
-    a warning gives the smallest ratio (0 for a dead column) and
-    ``least_squares`` fits by SVD instead; on a rank-deficient pool the
-    ``LinAlgError`` names the columns at fault.
+    ``least_squares`` fits by SVD instead, and then a warning gives the
+    smallest ratio (0 for a dead column); on a rank-deficient pool only
+    the ``LinAlgError`` is raised, naming the columns at fault.
     """
     dof = dataset.n - dataset.m - 1
     if dof <= 0:
@@ -281,15 +281,15 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
         r = y - X @ b
         rss_full = float(r @ r)
     else:
+        try:
+            _, rss_full = least_squares(dataset, range(dataset.m))
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(_rank_deficiency(dataset.names, pool)) from None
         log.warning(
             "full-model X'X is near singular (smallest squared pivot / its "
             "column's squared norm = %.3g <= %g); fitting sigma2 by SVD least squares",
             ratio, RANK_RTOL,
         )
-        try:
-            _, rss_full = least_squares(dataset, range(dataset.m))
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(_rank_deficiency(dataset.names, pool)) from None
     scale = float(dataset.y @ dataset.y)
     if rss_full <= 1e-12 * max(scale, 1.0):
         warnings.warn("full-model residual is numerically zero; the variance estimate is "

@@ -1,15 +1,19 @@
 """Text ingestion, quadratic expansion, and the command-line surface."""
 
 import contextlib
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from stepfdr import dataio
-from stepfdr.cli import build_parser, main, parse_method, read_outcome, write_outcome
+from stepfdr import campaign, cli, dataio
+from stepfdr.campaign import read_outcome, write_outcome
+from stepfdr.cli import build_parser, main, parse_method
 from stepfdr.dataio import ExpansionSpec, diabetes_path, expand, ingest, load_diabetes
 from stepfdr.penalties import PenaltySpec, penalty_table
 from stepfdr.selector import select
@@ -282,7 +286,7 @@ class TestOutcomeRoundTrip:
         def crash(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("stepfdr.cli.os.replace", crash)
+        monkeypatch.setattr("stepfdr.campaign.os.replace", crash)
         second = run_config(SimConfig(m=6, rho=0.0, beta_type=1, p_index=2,
                                       replications=7), [(PenaltySpec("aic"), None)])
         with pytest.raises(OSError, match="disk full"):
@@ -314,6 +318,27 @@ class TestCli:
         assert captured.err.splitlines()[-1] == (
             "error: full model is rank deficient: 'SEX^2' lies in the span of the intercept "
             "and the columns before it; a known sigma2 skips the full-model fit")
+
+    def test_a_rank_deficient_select_writes_only_its_error(self):
+        # In its own process, where no handler is set up: a warning logged
+        # before the failing full-model fit would reach stderr too.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "stepfdr.cli", "select", "--data", diabetes_path(),
+             "--response", "Y", "--method", "msfdr:0.05", "--expand"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.splitlines() == [
+            "error: full model is rank deficient: 'SEX^2' lies in the span of the intercept "
+            "and the columns before it; a known sigma2 skips the full-model fit"]
+
+    def test_cli_binds_the_traced_outcome_functions(self):
+        # bench/tracer.py traces the result-file I/O by rebinding these
+        # names on stepfdr.cli, and every namespace that holds the same object.
+        assert cli.write_outcome is campaign.write_outcome
+        assert cli.read_outcome is campaign.read_outcome
 
     def test_a_closed_stdout_pipe_ends_quietly(self, capsys):
         # As when the output is piped into `head`, which exits early: the

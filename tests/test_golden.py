@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stepfdr.cli import campaign_grid, read_outcome
+from stepfdr.campaign import campaign_grid, read_outcome
 from stepfdr.simlab import run_config
 
 _spec = importlib.util.spec_from_file_location(

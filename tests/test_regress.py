@@ -297,11 +297,7 @@ class TestForwardPathAndSigma2:
         # The normal-equation fit is what makes sigma2 cheap on the
         # benchmark's pools; an edit that sends them back to the SVD
         # fit fails here rather than only in a timing.
-        rng = np.random.default_rng(16)
-        X = rng.standard_normal((2000, 500))
-        y = X[:, :20] @ rng.standard_normal(20) + rng.standard_normal(2000)
-        wide = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(500))))
-        pools = (diabetes_main, diabetes_quad, wide)
+        pools = (diabetes_main, diabetes_quad, _wide_benchmark_dataset())
         expected = [least_squares(ds, range(ds.m))[1] / (ds.n - ds.m - 1) for ds in pools]
 
         def svd_fit(*args):
