@@ -118,7 +118,8 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     y = data[:, ycol].copy()
     X = data[:, keep]
     del data
-    ds = Dataset(y=y, X=X, names=tuple(header[j] for j in keep))
+    # The table passed its scan (or _parse_lines's), so its columns are not scanned again.
+    ds = Dataset._derived(y, X, [header[j] for j in keep])
     return standardize(ds) if standardize_data else ds
 
 
@@ -280,11 +281,14 @@ def expand(dataset: Dataset, spec: ExpansionSpec) -> Dataset:
     # standardize's column sums.
     X = np.empty((base.n, len(names)))
     X[:, :base.m] = base.X
-    for col, (a, b) in enumerate(pairs, base.m):
-        np.multiply(base.X[:, a], base.X[:, b], out=X[:, col])
-    for col, j in enumerate(squared, base.m + len(pairs)):
-        np.square(base.X[:, j], out=X[:, col])
-    return standardize(Dataset(y=dataset.y, X=X, names=tuple(names)))
+    # A product of finite cells is finite, or infinite where it
+    # overflows; standardize then rejects its column by name.
+    with np.errstate(over="ignore"):
+        for col, (a, b) in enumerate(pairs, base.m):
+            np.multiply(base.X[:, a], base.X[:, b], out=X[:, col])
+        for col, j in enumerate(squared, base.m + len(pairs)):
+            np.square(base.X[:, j], out=X[:, col])
+    return standardize(Dataset._derived(dataset.y, X, names))
 
 
 def diabetes_path() -> str:

@@ -55,6 +55,17 @@ def _first_nonfinite(data: np.ndarray):
     return None
 
 
+def _check_shapes(y: np.ndarray, X: np.ndarray, names) -> None:
+    if X.ndim != 2:
+        raise ValueError("X must be a 2-d matrix")
+    if y.shape != (X.shape[0],):
+        raise ValueError("y length must match the number of rows of X")
+    if X.shape[0] < 2 or X.shape[1] < 1:
+        raise ValueError("need at least 2 observations and 1 candidate column")
+    if len(names) != X.shape[1]:
+        raise ValueError("one name per candidate column required")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Response vector plus named candidate-predictor matrix.
@@ -62,8 +73,17 @@ class Dataset:
     Every model fit on a dataset has an intercept. ``standardized``
     marks X and y as already centered, which sweeps the intercept out;
     otherwise the pool centers X (``cross_products(X, True)``) and
-    ``least_squares`` fits a ones column. Every cell must be finite;
-    the error names the first bad row (from 1) and column.
+    ``least_squares`` fits a ones column.
+
+    The constructor checks every cell: a non-finite one is named by its
+    row (from 1) and, in X, its column. The datasets that ``ingest``,
+    ``standardize`` and ``expand`` derive are built by ``_derived``,
+    which skips that scan, because their cells are finite by
+    construction: ``ingest`` copies them out of a table it has just
+    checked, ``standardize`` returns only when the response's and every
+    column's squared length are finite (so each scaled cell lies within
+    ±1), and ``expand`` hands its products to ``standardize``, which
+    rejects a product column that overflowed by its name.
     """
 
     y: np.ndarray
@@ -74,14 +94,7 @@ class Dataset:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         X = np.asarray(self.X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-d matrix")
-        if y.shape != (X.shape[0],):
-            raise ValueError("y length must match the number of rows of X")
-        if X.shape[0] < 2 or X.shape[1] < 1:
-            raise ValueError("need at least 2 observations and 1 candidate column")
-        if len(self.names) != X.shape[1]:
-            raise ValueError("one name per candidate column required")
+        _check_shapes(y, X, self.names)
         bad = _first_nonfinite(X)
         if bad is not None:
             row, col = bad
@@ -93,6 +106,14 @@ class Dataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "names", tuple(self.names))
+
+    @classmethod
+    def _derived(cls, y: np.ndarray, X: np.ndarray, names, standardized: bool = False):
+        """A dataset of float arrays whose cells are known to be finite; no cell is scanned."""
+        _check_shapes(y, X, names)
+        ds = object.__new__(cls)
+        ds.__dict__.update(y=y, X=X, names=tuple(names), standardized=standardized)
+        return ds
 
     @property
     def n(self) -> int:
@@ -137,7 +158,8 @@ def standardize(dataset: Dataset) -> Dataset:
 
     The input is left untouched. Besides the centered copy of X, only
     one value per column is held: ``np.einsum`` sums each column's
-    squares without forming them.
+    squares without forming them. A column or a response whose squared
+    length overflows is rejected, so the result's cells are finite.
     """
     X = dataset.X
     n = X.shape[0]
@@ -151,10 +173,14 @@ def standardize(dataset: Dataset) -> Dataset:
         # A constant column centers to the rounding error of its mean, at
         # most n * eps * |mean| in each of its n entries.
         constant = lengths <= n * (n * np.finfo(float).eps * mean) ** 2
-    # An overflowing column that is not constant would be scaled to zeros.
+        yc = dataset.y - dataset.y.mean()
+        y_length = float(yc @ yc)
+    # An overflowing column that is not constant would be scaled to zeros,
+    # and one holding an infinite cell (a product that overflowed in
+    # ``expand``) to nans.
     if not math.isfinite(lengths.sum()):
         for j in np.flatnonzero(~np.isfinite(lengths)):
-            if (X[:, j] != X[0, j]).any():
+            if not math.isfinite(X[0, j]) or (X[:, j] != X[0, j]).any():
                 raise ValueError(f"column {dataset.names[j]!r} is too large to standardize: "
                                  "its squared length overflows")
     bad = np.flatnonzero(constant)
@@ -162,10 +188,11 @@ def standardize(dataset: Dataset) -> Dataset:
         raise DegenerateColumnError(
             f"column {dataset.names[bad[0]]!r} is constant and cannot be standardized"
         )
+    if not math.isfinite(y_length):
+        raise ValueError("the response is too large to standardize: its squared length overflows")
     np.sqrt(lengths, out=lengths)
-    yc = dataset.y - dataset.y.mean()
     np.divide(Xc, lengths, out=Xc)
-    return Dataset(y=yc, X=Xc, names=dataset.names, standardized=True)
+    return Dataset._derived(yc, Xc, dataset.names, standardized=True)
 
 
 def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:

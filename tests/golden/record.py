@@ -2,7 +2,11 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [--check]
+
+With ``--check`` it writes nothing: it recomputes the record, compares
+it byte for byte with the committed files, and exits 1 naming the first
+file and line that differ (0 when every file matches).
 
 It writes, all through ``stepfdr.cli.main``:
 
@@ -34,10 +38,13 @@ moved, by how much and why.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -129,9 +136,9 @@ def north_star_select() -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_sections(path: Path, sections: dict) -> None:
+def sections_text(sections: dict) -> str:
     """Outputs under one "== <key>" line each, in order."""
-    path.write_text("".join(f"== {key}\n{text}" for key, text in sections.items()))
+    return "".join(f"== {key}\n{text}" for key, text in sections.items())
 
 
 def read_sections(path: Path) -> dict:
@@ -155,19 +162,70 @@ def acceptance_losses() -> str:
                    for o in outcomes for mo in o.methods)
 
 
-def main() -> int:
-    write_sections(HERE / "select.txt", {req: select_report(req) for req in SELECT_REQUESTS})
-    write_sections(HERE / "penalty-tables.txt", {m: penalty_table(m) for m in TABLE_METHODS})
-    config = HERE / "campaign.cfg"
+def recompute(work: Path) -> dict:
+    """Every file of the record, by its path under this directory, as bytes.
+
+    The campaign's config and result files are written under ``work``.
+    """
+    config = work / "campaign.cfg"
     config.write_text("".join(f"{key} = {value}\n" for key, value in CAMPAIGN.items()))
+    results = work / CAMPAIGN_DIR.name
+    run_cli(["simulate", "--config", str(config), "--out", str(results), "--workers", "1"])
+    texts = {
+        "select.txt": sections_text({req: select_report(req) for req in SELECT_REQUESTS}),
+        "penalty-tables.txt": sections_text({m: penalty_table(m) for m in TABLE_METHODS}),
+        "campaign.cfg": config.read_text(),
+        f"{results.name}/summary.txt": run_cli(["summarize", "--in", str(results)]),
+        ACCEPTANCE_LOSSES.name: acceptance_losses(),
+        NORTH_STAR.name: sections_text({NORTH_STAR_TABLE: run_cli(NORTH_STAR_TABLE.split()),
+                                        NORTH_STAR_SELECT: north_star_select()}),
+    }
+    files = {name: text.encode() for name, text in texts.items()}
+    files.update({f"{results.name}/{f.name}": f.read_bytes() for f in sorted(results.glob("*.tsv"))})
+    return files
+
+
+def committed(names) -> dict:
+    """The committed files of these names, and every committed result file, by name."""
+    paths = {HERE / name for name in names} | set(CAMPAIGN_DIR.glob("*.tsv"))
+    return {str(p.relative_to(HERE)): p.read_bytes() for p in paths if p.exists()}
+
+
+def first_difference(want: dict, got: dict) -> Optional[str]:
+    """Where the files ``got`` first differ from ``want`` (both by path), or None."""
+    for name in sorted(want.keys() | got.keys()):
+        if name not in got:
+            return f"{name}: committed, but not in the recomputed record"
+        if name not in want:
+            return f"{name}: recomputed, but not committed"
+        want_lines = want[name].splitlines(keepends=True)
+        got_lines = got[name].splitlines(keepends=True)
+        for line, (w, g) in enumerate(zip(want_lines + [b""], got_lines + [b""]), start=1):
+            if w != g:
+                return (f"{name}, line {line}:\n  committed:  {w.decode()!r}\n"
+                        f"  recomputed: {g.decode()!r}")
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed files instead of writing them")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        files = recompute(Path(work))
+    if args.check:
+        where = first_difference(committed(files), files)
+        if where is not None:
+            print(f"record differs: {where}", file=sys.stderr)
+            return 1
+        print(f"record matches: {len(files)} files")
+        return 0
     CAMPAIGN_DIR.mkdir(exist_ok=True)
     for stale in CAMPAIGN_DIR.glob("*.tsv"):
         stale.unlink()
-    run_cli(["simulate", "--config", str(config), "--out", str(CAMPAIGN_DIR), "--workers", "1"])
-    (CAMPAIGN_DIR / "summary.txt").write_text(run_cli(["summarize", "--in", str(CAMPAIGN_DIR)]))
-    ACCEPTANCE_LOSSES.write_text(acceptance_losses())
-    write_sections(NORTH_STAR, {NORTH_STAR_TABLE: run_cli(NORTH_STAR_TABLE.split()),
-                                NORTH_STAR_SELECT: north_star_select()})
+    for name, data in files.items():
+        (HERE / name).write_bytes(data)
     return 0
 
 

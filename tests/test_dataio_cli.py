@@ -11,11 +11,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from stepfdr import campaign, cli, dataio
+from stepfdr import campaign, cli, dataio, regress
 from stepfdr.campaign import read_outcome, write_outcome
 from stepfdr.cli import build_parser, main, parse_method
 from stepfdr.dataio import ExpansionSpec, diabetes_path, expand, ingest, load_diabetes
 from stepfdr.penalties import PenaltySpec, penalty_table
+from stepfdr.regress import Dataset
 from stepfdr.selector import select
 from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, run_config
 
@@ -24,6 +25,24 @@ def _write(tmp_path, name, text):
     f = tmp_path / name
     f.write_text(text)
     return f
+
+
+def _cli_in_own_process(*argv):
+    """``stepfdr`` run as its own process, where no logging handler is set up."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "stepfdr.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@contextlib.contextmanager
+def _counted_scans():
+    """A mock that counts the non-finite scans, wherever they are called from."""
+    scan = mock.Mock(wraps=regress._first_nonfinite)
+    with mock.patch.object(regress, "_first_nonfinite", scan), \
+            mock.patch.object(dataio, "_first_nonfinite", scan):
+        yield scan
 
 
 class TestIngest:
@@ -137,6 +156,23 @@ class TestExpand:
     def test_result_standardized(self, diabetes_quad):
         assert diabetes_quad.standardized
         assert np.allclose((diabetes_quad.X**2).sum(axis=0), 1.0)
+
+    @pytest.mark.parametrize("interactions, term", [(True, "a*b"), (False, "a^2")])
+    def test_a_product_that_overflows_is_named(self, interactions, term):
+        # A dataset marked standardized may hold any finite cells, and their
+        # products may overflow where the columns' squared lengths do not:
+        # 'a*b' to infinities of both signs, 'a^2' to a column of +inf,
+        # which centering would turn into nans.
+        a = 1e160 + 1e147 * np.arange(8.0)
+        b = 1e150 * np.arange(1.0, 9.0) * np.tile([1.0, -1.0], 4)
+        ds = Dataset(y=np.arange(8.0) - 3.5, X=np.column_stack([a, b]), names=("a", "b"),
+                     standardized=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                expand(ds, ExpansionSpec(include_interactions=interactions))
+        assert str(exc.value) == (f"column {term!r} is too large to standardize: "
+                                  "its squared length overflows")
 
 
 class TestDiabetesFixture:
@@ -322,17 +358,53 @@ class TestCli:
     def test_a_rank_deficient_select_writes_only_its_error(self):
         # In its own process, where no handler is set up: a warning logged
         # before the failing full-model fit would reach stderr too.
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "stepfdr.cli", "select", "--data", diabetes_path(),
-             "--response", "Y", "--method", "msfdr:0.05", "--expand"],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = _cli_in_own_process("select", "--data", diabetes_path(), "--response", "Y",
+                                   "--method", "msfdr:0.05", "--expand")
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.splitlines() == [
             "error: full model is rank deficient: 'SEX^2' lies in the span of the intercept "
             "and the columns before it; a known sigma2 skips the full-model fit"]
+
+    @pytest.mark.parametrize("ys", [
+        ("1.7e308", "1.7e308", "-1.7e308", "0", "1"),  # the mean overflows
+        ("1e200", "-2e200", "3e200", "-1e200", "2e200", "-3e200"),  # only the squared length
+    ], ids=["mean", "squared-length"])
+    def test_a_response_too_large_to_standardize_writes_only_its_error(self, tmp_path, ys):
+        # Every cell is finite. Unchecked, numpy warned of the overflow and
+        # the select failed later: on a y cell it called non-finite, or on
+        # an infinite sigma2 after a false zero-residual warning.
+        rows = ["a\tb\tY"] + [f"{i}\t{i * i % 7}\t{y}" for i, y in enumerate(ys)]
+        f = _write(tmp_path, "d.tsv", "\n".join(rows) + "\n")
+        done = _cli_in_own_process("select", "--data", str(f), "--response", "Y",
+                                   "--method", "aic")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.splitlines() == [
+            "error: the response is too large to standardize: its squared length overflows"]
+
+    @pytest.mark.parametrize("expand_flags", [[], ["--expand", "--square-exclude", "SEX"]],
+                             ids=["main", "quad"])
+    def test_a_select_scans_its_data_once(self, capsys, expand_flags):
+        # ingest scans the parsed table; the datasets derived from it are
+        # not scanned again (the parent made 3 scans, and 5 with --expand).
+        with _counted_scans() as scan:
+            assert main(["select", "--data", diabetes_path(), "--response", "Y",
+                         "--method", "msfdr:0.05", *expand_flags]) == 0
+        assert scan.call_count == 1
+        assert scan.call_args.args[0].shape == (442, 11)
+
+    def test_a_forked_ingest_scans_its_table_once(self, tmp_path):
+        table = np.random.default_rng(5).standard_normal((400, 6))
+        path = tmp_path / "d.tsv"
+        with open(path, "w") as fh:
+            fh.write("a\tb\tY\tc\td\te\n")
+            np.savetxt(fh, table, fmt="%.17g", delimiter="\t")
+        with mock.patch.object(dataio, "SPLIT_BYTES", 1), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
+                mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split, \
+                _counted_scans() as scan:
+            ds = ingest(path, "Y")
+        assert split.called and scan.call_count == 1
+        assert ds.X.shape == (400, 5) and np.isfinite(ds.X).all() and np.isfinite(ds.y).all()
 
     def test_cli_binds_the_traced_outcome_functions(self):
         # bench/tracer.py traces the result-file I/O by rebinding these

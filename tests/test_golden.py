@@ -67,6 +67,17 @@ _TABLES = record.read_sections(record.HERE / "penalty-tables.txt")
 _NORTH_STAR = record.read_sections(record.NORTH_STAR)
 
 
+def test_check_names_the_first_file_and_line_that_differ():
+    want = {"a.txt": b"1\n2\n", "b.txt": b"x\n"}
+    assert record.first_difference(want, dict(want)) is None
+    assert record.first_difference(want, {**want, "a.txt": b"1\n3\n"}) == (
+        "a.txt, line 2:\n  committed:  '2\\n'\n  recomputed: '3\\n'")
+    assert record.first_difference(want, {**want, "b.txt": b"x\ny\n"}) == (
+        "b.txt, line 2:\n  committed:  ''\n  recomputed: 'y\\n'")
+    assert record.first_difference(want, {"a.txt": want["a.txt"]}) == (
+        "b.txt: committed, but not in the recomputed record")
+
+
 def test_record_holds_every_request():
     assert list(_SELECT) == list(record.SELECT_REQUESTS)
     assert list(_TABLES) == list(record.TABLE_METHODS)
