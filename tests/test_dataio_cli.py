@@ -385,7 +385,7 @@ class TestCli:
                              ids=["main", "quad"])
     def test_a_select_scans_its_data_once(self, capsys, expand_flags):
         # ingest scans the parsed table; the datasets derived from it are
-        # not scanned again (the parent made 3 scans, and 5 with --expand).
+        # not scanned again (a scan per Dataset made 3, and 5 with --expand).
         with _counted_scans() as scan:
             assert main(["select", "--data", diabetes_path(), "--response", "Y",
                          "--method", "msfdr:0.05", *expand_flags]) == 0
