@@ -159,7 +159,7 @@ def penalty_factor(spec: PenaltySpec, k: int, m: int) -> float:
     return float(step_costs(spec, m, k).mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenaltyTable:
     """Penalty factors and step costs for one family on a (k, m) grid."""
 

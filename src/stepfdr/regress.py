@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -66,24 +65,20 @@ def _check_shapes(y: np.ndarray, X: np.ndarray, names) -> None:
         raise ValueError("one name per candidate column required")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Response vector plus named candidate-predictor matrix.
 
     Every model fit on a dataset has an intercept. ``standardized``
     marks X and y as already centered, which sweeps the intercept out;
-    otherwise the pool centers X (``cross_products(X, True)``) and
-    ``least_squares`` fits a ones column.
+    otherwise the pool (``cross_products(X, True)``) and
+    ``least_squares`` center them, so no fit holds a ones column.
 
-    The constructor checks every cell: a non-finite one is named by its
-    row (from 1) and, in X, its column. The datasets that ``ingest``,
-    ``standardize`` and ``expand`` derive are built by ``_derived``,
-    which skips that scan, because their cells are finite by
-    construction: ``ingest`` copies them out of a table it has just
-    checked, ``standardize`` returns only when the response's and every
-    column's squared length are finite (so each scaled cell lies within
-    ±1), and ``expand`` hands its products to ``standardize``, which
-    rejects a product column that overflowed by its name.
+    The constructor names a non-finite cell by its row (from 1) and, in
+    X, its column. ``_derived`` skips that scan for the datasets that
+    ``ingest`` (copied from a table it checked), ``standardize`` (every
+    squared length finite, so each cell within ±1) and ``expand`` (its
+    products go to ``standardize``, which names an overflowed one) build.
     """
 
     y: np.ndarray
@@ -124,7 +119,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardPath:
     """Ordered forward-selection entry sequence with its RSS profile.
 
@@ -153,13 +148,20 @@ class ForwardPath:
         return len(self.entered)
 
 
+def _constant(lengths, n: int, mean):
+    """Whether centered squared lengths are only the rounding of the mean:
+    at most n * eps * |mean| in each of n entries (with mean 0, zeros)."""
+    return lengths <= n * (n * np.finfo(float).eps * mean) ** 2
+
+
 def standardize(dataset: Dataset) -> Dataset:
     """Center y; center every column of X and scale it to unit length.
 
     The input is left untouched. Besides the centered copy of X, only
     one value per column is held: ``np.einsum`` sums each column's
-    squares without forming them. A column or a response whose squared
-    length overflows is rejected, so the result's cells are finite.
+    squares without forming them. A constant column or response
+    (``_constant``), or one whose squared length overflows, is rejected,
+    so the result's cells are finite.
     """
     X = dataset.X
     n = X.shape[0]
@@ -170,11 +172,11 @@ def standardize(dataset: Dataset) -> Dataset:
         mean = X.mean(axis=0)
         Xc = X - mean
         lengths = np.einsum("ij,ij->j", Xc, Xc)
-        # A constant column centers to the rounding error of its mean, at
-        # most n * eps * |mean| in each of its n entries.
-        constant = lengths <= n * (n * np.finfo(float).eps * mean) ** 2
-        yc = dataset.y - dataset.y.mean()
+        constant = _constant(lengths, n, mean)
+        y_mean = dataset.y.mean()
+        yc = dataset.y - y_mean
         y_length = float(yc @ yc)
+        y_constant = _constant(y_length, n, y_mean)
     # An overflowing column that is not constant would be scaled to zeros,
     # and one holding an infinite cell (a product that overflowed in
     # ``expand``) to nans.
@@ -185,11 +187,12 @@ def standardize(dataset: Dataset) -> Dataset:
                                  "its squared length overflows")
     bad = np.flatnonzero(constant)
     if bad.size:
-        raise DegenerateColumnError(
-            f"column {dataset.names[bad[0]]!r} is constant and cannot be standardized"
-        )
+        raise DegenerateColumnError(f"column {dataset.names[bad[0]]!r} is constant and "
+                                    "cannot be standardized")
     if not math.isfinite(y_length):
         raise ValueError("the response is too large to standardize: its squared length overflows")
+    if y_constant:
+        raise ValueError("the response is constant and cannot be standardized")
     np.sqrt(lengths, out=lengths)
     np.divide(Xc, lengths, out=Xc)
     return Dataset._derived(yc, Xc, dataset.names, standardized=True)
@@ -199,25 +202,27 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     """Exact least-squares fit on ``subset`` columns; returns (coef, rss).
 
     Serves as the reference oracle for the incremental forward path.
-    The intercept is fit as a ones column, unless the dataset is
-    standardized: its centering already swept the intercept out.
+    The intercept is swept out as in the pool: y and the subset's
+    columns are centered, unless the dataset is standardized and so
+    centered already. A raw fit still spends one degree of freedom on
+    the intercept.
     """
     subset = list(subset)
     if len(set(subset)) != len(subset):
         raise ValueError("subset indices must be distinct")
-    y = dataset.y
-    intercept = [] if dataset.standardized else [np.ones(dataset.n)]
-    cols = intercept + [dataset.X[:, j] for j in subset]
-    if not cols:
+    y, A = dataset.y, dataset.X[:, subset]
+    if not dataset.standardized:
+        y = y - y.mean()
+        A = A - A.mean(axis=0)
+    if not subset:
         return np.empty(0), float(y @ y)
-    A = np.column_stack(cols)
-    if A.shape[1] >= dataset.n:
+    if len(subset) + (not dataset.standardized) >= dataset.n:
         raise ValueError("subset too large for the number of observations")
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < A.shape[1]:
+    if rank < len(subset):
         raise np.linalg.LinAlgError("subset columns are rank deficient")
     resid = y - A @ coef
-    return coef[len(intercept):], float(resid @ resid)
+    return coef, float(resid @ resid)
 
 
 class Pool(NamedTuple):
@@ -225,7 +230,7 @@ class Pool(NamedTuple):
 
     X: np.ndarray  # centered when ``center`` is set
     G: np.ndarray  # X'X of that X
-    dead: np.ndarray  # columns centering leaves at most RANK_RTOL of their squared norm
+    dead: np.ndarray  # constant columns, by ``standardize``'s rounding rule (``_constant``)
     center: bool
     signal: Optional[tuple]  # (X'b, b'b) of the true mean b, centered with X, or None
 
@@ -234,22 +239,23 @@ def cross_products(X: np.ndarray, center: bool, true_mean: Optional[np.ndarray] 
     """The ``Pool`` of X, centered when ``center`` is set.
 
     Centering is the intercept's sweep step. It leaves a constant column
-    rounding noise, far under its squared norm before centering (G's
-    diagonal plus n times its squared mean): such a column is ``dead``,
-    as is an all-zero one. A dataset's pool is ``cross_products(dataset.X,
-    not dataset.standardized)``, so a standardized X is not copied again.
+    only the rounding of its mean, and ``standardize``'s rule
+    (``_constant``) marks such a column ``dead``; an uncentered pool's
+    mask marks only all-zero columns. A dataset's pool is
+    ``cross_products(dataset.X, not dataset.standardized)``, so a
+    standardized X is not copied again.
     """
     X = np.asarray(X, dtype=float)
     b = None if true_mean is None else np.asarray(true_mean, dtype=float)
+    means = 0.0
     if center:
         means = X.mean(axis=0)
         X = X - means
         if b is not None:
             b = b - b.mean()
     G = X.T @ X
-    shift = X.shape[0] * means * means if center else 0.0
     signal = None if b is None else (X.T @ b, float(b @ b))
-    return Pool(X, G, G.diagonal() <= RANK_RTOL * (G.diagonal() + shift), center, signal)
+    return Pool(X, G, _constant(G.diagonal(), X.shape[0], means), center, signal)
 
 
 def _rank_deficiency(names: tuple, pool: Pool) -> str:
@@ -276,23 +282,22 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
     dataset.standardized)``, formed here when not given;
     ``forward_path`` passes the one its sweep uses.
 
-    The full model is fit by one solve of X'X b = X'y (of the centered
-    columns when the dataset is not standardized), and RSS_full is taken from
-    the residual y - Xb itself: an error d in b moves it by only |Xd|^2,
-    while RSS_0 minus the explained sum of squares loses most of its
-    digits at high R^2. A Cholesky factor of X'X checks the rank first:
-    when the pool has a dead column, the factor fails, or a squared pivot
-    is at most RANK_RTOL times its column's diagonal of X'X (unit-free),
-    ``least_squares`` fits by SVD instead, and then a warning gives the
-    smallest ratio (0 for a dead column); on a rank-deficient pool only
-    the ``LinAlgError`` is raised, naming the columns at fault.
+    The full model is fit by one solve of X'X b = X'y on the pool's
+    centered columns, and RSS_full is taken from the residual y - Xb
+    itself: an error d in b moves it by only |Xd|^2, while RSS_0 minus
+    the explained sum of squares loses most of its digits at high R^2. A
+    Cholesky factor of X'X checks the rank first: when the pool has a
+    dead column, the factor fails, or a squared pivot is at most
+    RANK_RTOL times its column's diagonal of X'X (unit-free),
+    ``least_squares`` fits by SVD instead (centered the same way) and a
+    logged warning gives the smallest ratio (0 for a dead column); on a
+    rank-deficient pool only the ``LinAlgError`` is raised, naming the
+    columns at fault. An RSS_full of at most 1e-12 of RSS_0 is logged too.
     """
     dof = dataset.n - dataset.m - 1
     if dof <= 0:
-        raise ValueError(
-            f"insufficient degrees of freedom: n={dataset.n}, m={dataset.m} "
-            "(need n > m + 1 with an intercept)"
-        )
+        raise ValueError(f"insufficient degrees of freedom: n={dataset.n}, m={dataset.m} "
+                         "(need n > m + 1 with an intercept)")
     if pool is None:
         pool = cross_products(dataset.X, not dataset.standardized)
     X, G = pool.X, pool.G
@@ -317,11 +322,9 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
             "column's squared norm = %.3g <= %g); fitting sigma2 by SVD least squares",
             ratio, RANK_RTOL,
         )
-    scale = float(dataset.y @ dataset.y)
-    if rss_full <= 1e-12 * max(scale, 1.0):
-        warnings.warn("full-model residual is numerically zero; the variance estimate is "
-                      "degenerate (response lies in the span of the candidates)",
-                      RuntimeWarning, stacklevel=2)
+    if rss_full <= 1e-12 * max(float(y @ y), 1.0):  # RSS_0, around the intercept
+        log.warning("full-model residual is numerically zero; the variance estimate is "
+                    "degenerate (response lies in the span of the candidates)")
     return rss_full / dof
 
 
@@ -421,9 +424,4 @@ def forward_path(dataset: Dataset, sigma2: Optional[float] = None) -> ForwardPat
         log.warning("forward path stopped at depth %d of %d: no column left reduces the RSS by "
                     "more than %g of RSS_0; never entered: %s", len(order), k_max, RANK_RTOL,
                     ", ".join(repr(dataset.names[j]) for j in left))
-    return ForwardPath(
-        entered=order,
-        rss=rss,
-        sigma2=s2,
-        sigma2_source=source,
-    )
+    return ForwardPath(entered=order, rss=rss, sigma2=s2, sigma2_source=source)

@@ -68,7 +68,7 @@ def method_label(spec: PenaltySpec, rule: Optional[str]) -> Tuple[str, str]:
     return eff, label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Selected prefix of a forward path under one penalty and rule."""
 

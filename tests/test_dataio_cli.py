@@ -381,6 +381,37 @@ class TestCli:
         assert done.stderr.splitlines() == [
             "error: the response is too large to standardize: its squared length overflows"]
 
+    @pytest.mark.parametrize("y, n", [("5", 8), ("0.1", 7)], ids=["fives", "tenths"])
+    def test_a_constant_response_writes_only_its_error(self, tmp_path, y, n):
+        # Seven 0.1s center to +-1.4e-17, not to zero. Unchecked, the select
+        # warned of a zero residual and then failed, or selected nothing.
+        rows = ["a\tb\tY"] + [f"{i}\t{i * i % 7}\t{y}" for i in range(n)]
+        f = _write(tmp_path, "d.tsv", "\n".join(rows) + "\n")
+        done = _cli_in_own_process("select", "--data", str(f), "--response", "Y",
+                                   "--method", "aic")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.splitlines() == [
+            "error: the response is constant and cannot be standardized"]
+
+    def test_a_response_in_the_span_writes_two_plain_log_lines(self, tmp_path):
+        # In its own process: the zero-residual warning goes through the
+        # logger like the path warning, with no file path or source line.
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((20, 3))
+        table = np.column_stack([X, 2 * X[:, 0] - X[:, 1]])
+        path = tmp_path / "d.tsv"
+        with open(path, "w") as fh:
+            fh.write("a\tb\tc\tY\n")
+            np.savetxt(fh, table, fmt="%.17g", delimiter="\t")
+        done = _cli_in_own_process("select", "--data", str(path), "--response", "Y",
+                                   "--method", "aic")
+        assert done.returncode == 0
+        assert done.stderr.splitlines() == [
+            "full-model residual is numerically zero; the variance estimate is degenerate "
+            "(response lies in the span of the candidates)",
+            "forward path stopped at depth 2 of 3: no column left reduces the RSS by more "
+            "than 1e-12 of RSS_0; never entered: 'c'"]
+
     @pytest.mark.parametrize("expand_flags", [[], ["--expand", "--square-exclude", "SEX"]],
                              ids=["main", "quad"])
     def test_a_select_scans_its_data_once(self, capsys, expand_flags):

@@ -17,15 +17,18 @@ against the line-by-line parser it falls back to, on clean and broken
 tables alike; the normal-equation ``estimate_sigma2`` against the
 SVD least-squares fit, on collinear, high-R^2 and raw pools; the rank
 floors of the sweep and of ``estimate_sigma2`` on raw pools whose
-columns are in units up to 10^12 apart; the forward path and sigma2
-of a raw dataset against those of its standardized copy; the column-blocked
-``standardize`` against the whole-matrix formula, bit for bit;
-``standardize`` on constant columns of any finite value; and
+columns are in units up to 10^12 apart; the forward path, sigma2 and
+selection of a raw dataset against those of its standardized copy; the
+column-blocked ``standardize`` against the whole-matrix formula, bit for
+bit; ``standardize`` on constant columns of any finite value; and
 ``minimax_summary`` against a per-label sort and ``np.mean``, bit for
 bit.
 """
 
+import logging
+import re
 import tempfile
+import unittest
 from pathlib import Path
 from unittest import mock
 
@@ -253,9 +256,6 @@ def _sigma2_pool(seed, m, n, log_cond, noise, raw):
     return Dataset(y=y - y.mean(), X=X, names=names, standardized=True), X
 
 
-# At noise 1e-6 the RSS can fall under the numerically-zero threshold,
-# which warns; the value is still compared.
-@pytest.mark.filterwarnings("ignore:full-model residual is numerically zero")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), extra=st.sampled_from([2, 3, 6, 20]),
        log_cond=st.floats(0.0, 5.0), log_noise=st.floats(-6.0, 0.0), raw=st.booleans())
@@ -293,8 +293,12 @@ def test_sigma2_rejects_duplicate_columns(seed, m, extra, raw, data):
        log_cond=st.floats(0.0, 3.0), raw=st.booleans())
 def test_sigma2_warns_when_y_lies_in_the_span(seed, m, extra, log_cond, raw):
     ds, _ = _sigma2_pool(seed, m, m + extra, log_cond, 0.0, raw)
-    with pytest.warns(RuntimeWarning, match="numerically zero"):
+    # caplog is function-scoped, so each example captures its own records.
+    with unittest.TestCase().assertLogs("stepfdr.regress", logging.WARNING) as logs:
         estimate_sigma2(ds)
+    [record] = logs.records
+    assert record.levelno == logging.WARNING
+    assert re.search("numerically zero", record.getMessage())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -343,22 +347,27 @@ def test_rank_floors_ignore_column_units(seed, m, extra, log_cond, log_scale, da
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 10), extra=st.sampled_from([2, 3, 6, 20]),
        log_scale=st.floats(0.0, 6.0))
 def test_raw_dataset_selects_as_its_standardized_copy(seed, m, extra, log_scale):
-    """Every model has an intercept: a raw dataset, its columns offset by
-    up to 100 of their spreads and in units up to 10**log_scale apart,
-    has the forward path and sigma2 of its standardized copy. RSS_k is
-    RSS_0 minus the drops, so its error is measured against RSS_0: at
-    n = m + 2 the full model can leave 1e-8 of it.
+    """Every model has an intercept: a raw dataset, its columns offset
+    either way by up to 1e9 of their spreads (log-uniformly) and in units
+    up to 10**log_scale apart, has the forward path, sigma2 and msfdr
+    selection of its standardized copy. RSS_k is RSS_0 minus the drops,
+    so its error is measured against RSS_0: at n = m + 2 the full model
+    can leave 1e-8 of it.
     """
     rng = np.random.default_rng(seed)
     n = m + extra
     X = rng.standard_normal((n, m))
     y = X @ rng.standard_normal(m) + rng.standard_normal(n) + rng.uniform(-100.0, 100.0)
-    X = (X + rng.uniform(-100.0, 100.0, m)) * 10.0 ** rng.uniform(-log_scale, log_scale, m)
+    offsets = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-2.0, 9.0, m)
+    X = (X + offsets) * 10.0 ** rng.uniform(-log_scale, log_scale, m)
     raw = Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(m)))
-    got, want = forward_path(raw), forward_path(standardize(raw))
+    unit = standardize(raw)
+    got, want = forward_path(raw), forward_path(unit)
     assert got.entered == want.entered
     np.testing.assert_allclose(got.rss, want.rss, rtol=0.0, atol=1e-9 * want.rss[0])
     assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-9, abs=0.0)
+    spec = PenaltySpec("msfdr", q=0.05)
+    assert select(raw, spec).selected == select(unit, spec).selected
 
 
 def _standardize_check(X, y):

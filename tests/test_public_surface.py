@@ -5,6 +5,7 @@ that its source module's ``__all__`` lists.
 Re-exports are read from the syntax tree of ``stepfdr/__init__``, so a
 name imported there from a module that stopped listing it is caught.
 The README's "Command line" section names exactly the CLI's long options.
+The result objects that hold arrays compare and hash by identity.
 """
 
 import argparse
@@ -17,6 +18,10 @@ import pytest
 
 import stepfdr
 from stepfdr.cli import build_parser
+from stepfdr.dataio import load_diabetes
+from stepfdr.penalties import PenaltySpec, penalty_table
+from stepfdr.regress import forward_path
+from stepfdr.selector import select
 
 PACKAGE = Path(stepfdr.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -59,3 +64,17 @@ def test_readme_command_line_section_names_every_option():
     options = {opt for command in commands for action in command._actions
                for opt in action.option_strings if opt.startswith("--")} - {"--help"}
     assert documented == options
+
+
+@pytest.mark.parametrize("make", [
+    load_diabetes,
+    lambda: forward_path(load_diabetes()),
+    lambda: select(load_diabetes(), PenaltySpec("msfdr", q=0.05)),
+    lambda: penalty_table(PenaltySpec("msfdr", q=0.05), 10),
+], ids=["Dataset", "ForwardPath", "SelectionResult", "PenaltyTable"])
+def test_objects_that_hold_arrays_compare_by_identity(make):
+    # A generated __eq__ or __hash__ over numpy fields raised instead.
+    a, b = make(), make()
+    assert (a == a, a == b, a != b) == (True, False, True)
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert a in [b, a] and a not in [b]

@@ -10,6 +10,7 @@ import pytest
 
 from stepfdr import regress
 from stepfdr.dataio import ExpansionSpec, expand
+from stepfdr.penalties import PenaltySpec
 from stepfdr.regress import (
     Dataset,
     DegenerateColumnError,
@@ -21,6 +22,7 @@ from stepfdr.regress import (
     least_squares,
     standardize,
 )
+from stepfdr.selector import select
 
 
 def _random_dataset(rng, n=30, m=6):
@@ -29,6 +31,12 @@ def _random_dataset(rng, n=30, m=6):
     y = X @ beta + rng.standard_normal(n)
     names = tuple(f"x{j}" for j in range(m))
     return Dataset(y=y, X=X, names=names)
+
+
+def _assert_one_regress_warning(records, words):
+    [record] = records
+    assert (record.name, record.levelno) == ("stepfdr.regress", logging.WARNING)
+    assert re.search(words, record.getMessage())
 
 
 class TestDataset:
@@ -234,15 +242,16 @@ class TestForwardPathAndSigma2:
         with pytest.raises(ValueError, match="^n=2 leaves no room for one entry$"):
             forward_path(ds, sigma2=1.0)
 
-    def test_response_in_the_span_is_a_degenerate_fit(self):
+    def test_response_in_the_span_is_a_degenerate_fit(self, caplog):
         # Coordinate columns, taken as already centered, and y on one of
         # them: the full model's residual is exactly zero.
         X = np.eye(6)[:, :3]
         ds = Dataset(y=2.0 * X[:, 1], X=X, names=("a", "b", "c"), standardized=True)
-        with pytest.warns(RuntimeWarning, match="numerically zero"), \
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"), \
                 pytest.raises(ValueError, match="^degenerate fit: full-model RSS is zero, "
                                                 "sigma2 unavailable$"):
             forward_path(ds)
+        _assert_one_regress_warning(caplog.records, "numerically zero")
 
     def test_sigma2_needs_degrees_of_freedom(self):
         rng = np.random.default_rng(11)
@@ -252,13 +261,14 @@ class TestForwardPathAndSigma2:
         with pytest.raises(ValueError, match="degrees of freedom"):
             estimate_sigma2(ds)
 
-    def test_degenerate_fit_warns(self):
+    def test_degenerate_fit_warns(self, caplog):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((10, 2))
         y = X @ np.array([1.0, -2.0])  # exactly in the span
         ds = Dataset(y=y, X=X, names=("a", "b"))
-        with pytest.warns(RuntimeWarning, match="degenerate"):
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"):
             estimate_sigma2(ds)
+        _assert_one_regress_warning(caplog.records, "degenerate")
 
     def test_near_singular_pool_falls_back_and_logs_the_pivot_ratio(self, caplog, capsys):
         rng = np.random.default_rng(15)
@@ -291,6 +301,33 @@ class TestForwardPathAndSigma2:
                 pytest.raises(np.linalg.LinAlgError):
             estimate_sigma2(ds)
         assert 1 not in forward_sweep(cross_products(X, True), y, 3)[0]
+
+    def test_a_column_offset_by_1e8_of_its_spread_selects_as_standardized(self):
+        # The pool judged b's centered length against its squared norm
+        # before centering and called it constant, and the refit's ones
+        # column looked collinear with b.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((100, 4))
+        X[:, 1] = 1e7 + 0.1 * rng.standard_normal(100)
+        y = 5 * (X[:, 1] - 1e7) + X[:, 0] + rng.standard_normal(100)
+        raw = Dataset(y=y, X=X, names=tuple("abcd"))
+        assert not cross_products(raw.X, True).dead.any()
+        spec = PenaltySpec("msfdr", q=0.05)
+        got, want = select(raw, spec), select(standardize(raw), spec)
+        assert [raw.names[j] for j in got.selected] == [raw.names[j] for j in want.selected]
+        assert got.sigma2 == pytest.approx(want.sigma2, rel=1e-12, abs=0.0)
+
+    def test_a_response_offset_leaves_the_residual_nonzero(self, caplog):
+        # The zero-residual floor is RSS_0 around the intercept; against
+        # y'y, an offset of 1e9 made this fit's residual look zero.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((100, 4))
+        y = X[:, 0] + rng.standard_normal(100) + 1e9
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_sigma2(Dataset(y=y, X=X, names=tuple("abcd")))
+        assert caplog.records == []
 
     def test_benchmark_pools_skip_the_svd_fit(self, monkeypatch, caplog,
                                               diabetes_main, diabetes_quad):
