@@ -303,9 +303,8 @@ class TestForwardPathAndSigma2:
         assert 1 not in forward_sweep(cross_products(X, True), y, 3)[0]
 
     def test_a_column_offset_by_1e8_of_its_spread_selects_as_standardized(self):
-        # The pool judged b's centered length against its squared norm
-        # before centering and called it constant, and the refit's ones
-        # column looked collinear with b.
+        # Judged against its squared norm before centering, b looks
+        # constant, and beside a ones column it looks collinear to lstsq.
         rng = np.random.default_rng(0)
         X = rng.standard_normal((100, 4))
         X[:, 1] = 1e7 + 0.1 * rng.standard_normal(100)
