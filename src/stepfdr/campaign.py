@@ -159,12 +159,11 @@ def read_outcome(path: Path) -> ConfigOutcome:
         raise ValueError(f"{path}: result file lacks the method table header") from None
     meta = {}
     for lineno, ln in enumerate(lines[:start - 1], 1):
-        if not ln.startswith("#"):
-            if ln.strip():
-                raise ValueError(f"{path}: line {lineno} is not a '# name<TAB>value' line")
-            continue
-        name, _, value = ln[1:].strip().partition("\t")
-        meta[name] = value
+        if ln.startswith("#"):
+            name, _, value = ln[1:].strip().partition("\t")
+            meta[name] = value
+        elif ln.strip():
+            raise ValueError(f"{path}: line {lineno} is not a '# name<TAB>value' line")
     missing = [name for name in (*_CONFIG_TYPES, "oracle_mspe") if name not in meta]
     if missing:
         raise ValueError(f"{path}: result file lacks {', '.join(missing)}")
@@ -228,7 +227,10 @@ def read_results(in_dir) -> tuple:
     """Every result file in ``in_dir``, in file-name order, and their
     method labels; there must be one, and all must hold the same labels."""
     in_dir = Path(in_dir)
-    files = sorted(in_dir.glob("*.tsv"))
+    try:  # the names Path.glob("*.tsv") yields, dot-named ones too
+        files = [in_dir / name for name in sorted(os.listdir(in_dir)) if name.endswith(".tsv")]
+    except (FileNotFoundError, NotADirectoryError, PermissionError):
+        files = []
     if not files:
         raise ValueError(f"no campaign output files found in {in_dir}")
     outcomes = [read_outcome(f) for f in files]

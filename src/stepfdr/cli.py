@@ -24,7 +24,7 @@ from .campaign import (campaign_grid, pending_cells, read_campaign_file, read_ou
 from .dataio import ExpansionSpec, expand, ingest
 from .penalties import penalty_table
 from .selector import msfdr_iterative, parse_method, select
-from .simlab import best_q_tables, minimax_summary, run_config
+from .simlab import loss_matrix, q_tables, run_config, worst_k_means
 
 _FLOAT_FMT = "%.17g"
 
@@ -156,26 +156,29 @@ def _cmd_summarize(args) -> int:
         if worst_k < 1:
             raise ValueError(f"--worst-k {args.worst_k!r}: expected a positive integer or ALL")
     outcomes, labels = read_results(args.in_dir)
+    losses = loss_matrix(outcomes)[1]
 
-    ms = sorted({o.config.m for o in outcomes})
-    pairs = sorted({(o.config.m, o.config.rho) for o in outcomes})
-    by_m = [minimax_summary([o for o in outcomes if o.config.m == m], worst_k) for m in ms]
-    by_pair = [minimax_summary([o for o in outcomes if (o.config.m, o.config.rho) == pair],
-                               worst_k) for pair in pairs]
+    def worst_of(keep, worst_k=worst_k):
+        """Worst-k means, in label order, over the cells whose config passes
+        ``keep`` (take() copies them in C order: rows sum as in minimax_summary)."""
+        return worst_k_means(losses.take([j for j, o in enumerate(outcomes)
+                                          if keep(o.config)], axis=1), worst_k)
 
-    out = ["# worst-%s relative loss by m" % args.worst_k,
-           "method\t" + "\t".join(f"m={m}" for m in ms)]
-    out += ["\t".join([label] + ["%.4g" % summary[label] for summary in by_m])
-            for label in labels]
-    out += ["# worst-%s relative loss by (m, rho)" % args.worst_k,
-            "method\t" + "\t".join(f"m={m},rho={r:g}" for m, r in pairs)]
-    out += ["\t".join([label] + ["%.4g" % summary[label] for summary in by_pair])
-            for label in labels]
-    out.append("# overall worst-%s relative loss" % args.worst_k)
-    overall = minimax_summary(outcomes, worst_k)
-    out += [f"{label}\t{overall[label]:.4g}" for label in labels]
+    out = []
+    for by, key, head in (("m", lambda c: (c.m,), "m={}"),
+                          ("(m, rho)", lambda c: (c.m, c.rho), "m={},rho={:g}")):
+        groups = sorted({key(o.config) for o in outcomes})
+        columns = [worst_of(lambda c: key(c) == group) for group in groups]
+        out += [f"# worst-{args.worst_k} relative loss by {by}",
+                "\t".join(["method"] + [head.format(*group) for group in groups])]
+        out += ["\t".join([label] + ["%.4g" % column[i] for column in columns])
+                for i, label in enumerate(labels)]
+    overall = worst_of(lambda c: True)
+    out.append(f"# overall worst-{args.worst_k} relative loss")
+    out += [f"{label}\t{value:.4g}" for label, value in zip(labels, overall)]
 
-    for family, table in best_q_tables(outcomes).items():
+    worst_one = overall if worst_k == 1 else worst_of(lambda c: True, 1)
+    for family, table in q_tables(dict(zip(labels, worst_one))).items():
         if len(table) > 1:
             best = min(table, key=table.get)
             out.append(f"# best q for {family}: {best:g} " +

@@ -322,7 +322,7 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
             "column's squared norm = %.3g <= %g); fitting sigma2 by SVD least squares",
             ratio, RANK_RTOL,
         )
-    if rss_full <= 1e-12 * max(float(y @ y), 1.0):  # RSS_0, around the intercept
+    if rss_full <= 1e-12 * float(y @ y):  # RSS_0, around the intercept: unit-free
         log.warning("full-model residual is numerically zero; the variance estimate is "
                     "degenerate (response lies in the span of the candidates)")
     return rss_full / dof

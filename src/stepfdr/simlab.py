@@ -31,8 +31,11 @@ __all__ = [
     "solve_c_for_r2",
     "random_oracle",
     "run_config",
+    "loss_matrix",
+    "worst_k_means",
     "minimax_summary",
     "best_q_tables",
+    "q_tables",
 ]
 
 # p_index 1..6 maps to these fractions of m (index 1 is sqrt(m)).
@@ -267,23 +270,11 @@ def _ratio_se(yv: np.ndarray, x: np.ndarray, ratio: float) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def minimax_summary(
-    outcomes: Sequence[ConfigOutcome],
-    worst_k: object = 1,
-) -> Dict[str, float]:
-    """Per-method mean of the worst-k relative losses over a set of outcomes.
-
-    ``worst_k`` is a positive integer or the string "ALL" (plain mean).
-    Every outcome must hold the same labels.  The losses form one
-    (methods x outcomes) matrix, in the first outcome's method order;
-    each row is sorted once, largest first, and its first k entries
-    are averaged, which sums them in the order ``np.mean`` sums a
-    sorted list of them.
-    """
+def loss_matrix(outcomes: Sequence[ConfigOutcome]) -> Tuple[list, np.ndarray]:
+    """The labels of outcomes that all hold the same labels, and their relative
+    losses as one C-ordered (methods x outcomes) array, rows in label order."""
     if not outcomes:
         raise ValueError("no configuration outcomes to summarize")
-    if worst_k != "ALL" and int(worst_k) < 1:
-        raise ValueError("worst-k must be positive or 'ALL'")
     labels = [mo.label for mo in outcomes[0].methods]
     losses = np.empty((len(labels), len(outcomes)))
     for j, o in enumerate(outcomes):
@@ -295,28 +286,42 @@ def minimax_summary(
         if by_label:
             raise ValueError(f"outcome {o.config.key()} holds method {next(iter(by_label))}, "
                              f"which outcome {outcomes[0].config.key()} lacks")
-    # Negating twice sorts in descending order with positive strides; a
-    # reversed view could let numpy's iterator flip it and sum in
-    # another order.
+    return labels, losses
+
+
+def worst_k_means(losses: np.ndarray, worst_k: object = 1) -> list:
+    """Each row's mean of its worst-k entries (``worst_k``: a positive integer,
+    or "ALL" for the plain mean).  Each row is sorted once, largest first, by
+    negating twice, which keeps positive strides; on a C-contiguous ``losses``
+    its first k then sum in the order ``np.mean`` sums a sorted list of them."""
+    if worst_k != "ALL" and int(worst_k) < 1:
+        raise ValueError("worst-k must be positive or 'ALL'")
     worst = -np.sort(-losses, axis=1)
     if worst_k != "ALL":
         worst = worst[:, :int(worst_k)]
-    return dict(zip(labels, worst.mean(axis=1).tolist()))
+    return worst.mean(axis=1).tolist()
+
+
+def minimax_summary(outcomes: Sequence[ConfigOutcome], worst_k: object = 1) -> Dict[str, float]:
+    """Per-method mean of the worst-k relative losses over a set of outcomes:
+    ``worst_k_means`` of their ``loss_matrix``, by label."""
+    labels, losses = loss_matrix(outcomes)
+    return dict(zip(labels, worst_k_means(losses, worst_k)))
 
 
 def best_q_tables(outcomes: Sequence[ConfigOutcome]) -> Dict[str, Dict[float, float]]:
-    """Worst-case relative loss per q level for bh, tsfdr and msfdr, in that order.
+    """``q_tables`` of ``minimax_summary(outcomes, 1)``, with its errors."""
+    return q_tables(minimax_summary(outcomes, 1))
 
-    Each value is ``minimax_summary(outcomes, 1)`` of a family's
-    default-rule label; an "@rule" label is another method.  Each label
-    is parsed once.  Errors are ``minimax_summary``'s: no outcomes, or
-    outcomes whose labels differ.
-    """
+
+def q_tables(worst: Dict[str, float]) -> Dict[str, Dict[float, float]]:
+    """A worst-1 summary per q level for bh, tsfdr and msfdr, in that order, from
+    each family's default-rule labels (an "@rule" label is another method)."""
     families = ("bh", "tsfdr", "msfdr")
     levels = {}
-    for label, worst in minimax_summary(outcomes, 1).items():
+    for label, value in worst.items():
         spec, rule = parse_method(label)
         if spec.family in families and rule is None:
-            levels[spec.family, spec.q] = worst
+            levels[spec.family, spec.q] = value
     return {family: {q: v for (f, q), v in sorted(levels.items()) if f == family}
             for family in families}

@@ -935,6 +935,41 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def _result_dir(tmp_path, *ms):
+        """One aic result file per m (p_index 1) in ``tmp_path / "out"``."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for m in ms:
+            write_outcome(ConfigOutcome(SimConfig(m=m, rho=0.0, beta_type=1, p_index=1), 1.0,
+                                        (MethodOutcome("aic", 1.5, 1.0 + m / 10, 0.1),)), out)
+        return out
+
+    def test_summarize_reads_a_dot_named_result_file(self, capsys, tmp_path):
+        out = self._result_dir(tmp_path, 6, 8)
+        (out / "m6_rho+0.00_b1_p1.tsv").rename(out / ".x.tsv")
+        assert main(["summarize", "--in", str(out)]) == 0
+        assert "method\tm=6\tm=8\naic\t1.6\t1.8\n" in capsys.readouterr().out
+
+    def test_summarize_skips_a_writers_temporary_file(self, capsys, tmp_path):
+        out = self._result_dir(tmp_path, 8)
+        (out / f".x.tsv.{os.getpid()}.tmp").write_text("half a file")
+        assert main(["summarize", "--in", str(out)]) == 0
+        assert "method\tm=8\naic\t1.8\n" in capsys.readouterr().out
+
+    def test_summarize_names_a_directory_that_ends_in_tsv(self, capsys, tmp_path):
+        out = self._result_dir(tmp_path, 8)
+        (out / "x.tsv").mkdir()
+        assert main(["summarize", "--in", str(out)]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("error: ") and str(out / "x.tsv") in line
+
+    def test_summarize_of_a_missing_directory_says_so(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        assert main(["summarize", "--in", str(missing)]) == 1
+        assert capsys.readouterr() == ("", f"error: no campaign output files found in {missing}\n")
+
     def test_select_bad_file_fails(self, capsys):
         rc = main(["select", "--data", "/nonexistent.csv", "--response", "Y",
                    "--method", "aic"])

@@ -328,6 +328,29 @@ class TestForwardPathAndSigma2:
             estimate_sigma2(Dataset(y=y, X=X, names=tuple("abcd")))
         assert caplog.records == []
 
+    @staticmethod
+    def _small_response_dataset(span):
+        # Standardized columns and a centered response of size 1e-8: noise
+        # around the first column, or an exact combination of two columns.
+        rng = np.random.default_rng(0)
+        X = standardize(Dataset(y=rng.standard_normal(100), X=rng.standard_normal((100, 4)),
+                                names=tuple("abcd"))).X
+        y = 1e-8 * (2 * X[:, 0] - X[:, 1] if span else X[:, 0] + rng.standard_normal(100))
+        return Dataset(y=y - y.mean(), X=X, names=tuple("abcd"), standardized=True)
+
+    def test_a_small_response_keeps_an_honest_residual(self, caplog):
+        # The zero-residual test is relative to RSS_0 alone. With a floor of
+        # 1e-12 * max(RSS_0, 1), this sigma2 of about 1e-16 was called zero.
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"):
+            s2 = estimate_sigma2(self._small_response_dataset(span=False))
+        assert caplog.records == []
+        assert 1e-17 < s2 < 1e-15
+
+    def test_a_small_response_in_the_span_still_warns(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"):
+            estimate_sigma2(self._small_response_dataset(span=True))
+        _assert_one_regress_warning(caplog.records, "numerically zero")
+
     def test_benchmark_pools_skip_the_svd_fit(self, monkeypatch, caplog,
                                               diabetes_main, diabetes_quad):
         # The normal-equation fit is what makes sigma2 cheap on the
