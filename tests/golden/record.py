@@ -7,6 +7,9 @@ Run from the repository root:
 With ``--check`` it writes nothing: it recomputes the record, compares
 it byte for byte with the committed files, and exits 1 naming the first
 file and line that differ (0 when every file matches).
+As a script it runs numpy with one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``, as the benchmark does), so neither the
+record nor ``--check`` depends on the host's default thread count.
 
 It writes, all through ``stepfdr.cli.main``:
 
@@ -41,10 +44,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 from typing import Optional
+
+if __name__ == "__main__":
+    # One BLAS thread, as bench/record_reference.py pins, so the record
+    # holds the same bits on any host; set before numpy is first imported.
+    # tests/test_golden.py imports this module and leaves its own setting.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -34,7 +34,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stepfdr import regress
@@ -62,7 +62,8 @@ from stepfdr.selector import (
     select,
     stop,
 )
-from stepfdr.simlab import ConfigOutcome, MethodOutcome, SimConfig, minimax_summary
+from stepfdr.simlab import (ConfigOutcome, MethodOutcome, SimConfig, loss_matrix,
+                            minimax_summary, worst_k_means)
 
 EPS = np.finfo(float).eps
 
@@ -572,6 +573,56 @@ def test_iterative_msfdr_is_the_step_down_rule(seed, m, extra, log_cond, log_sig
     assert res.selected == select(ds, PenaltySpec("msfdr", q=q), path=path).selected
 
 
+def _step_up(pvals, alphas):
+    """How many of the sorted p-values BH's step-up test rejects."""
+    return max((k for k, (p, a) in enumerate(zip(pvals, alphas), 1) if p <= a), default=0)
+
+
+def _step_down(pvals, alphas):
+    """How many of the sorted p-values a step-down test rejects."""
+    return next((k for k, (p, a) in enumerate(zip(pvals, alphas)) if p > a), len(pvals))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), extra=st.integers(2, 20),
+       q=st.floats(1e-3, 0.5, exclude_max=True), near_line=st.booleans())
+def test_orthonormal_selection_is_the_multiple_test(seed, m, extra, q, near_line):
+    # With centered orthonormal columns and known sigma2 = 1, forward
+    # selection enters the columns in order of |z_j|, z_j = x_j'y (an
+    # independent N(beta_j, 1) when y = X beta + N(0, I)). So bh at its
+    # default rule selects exactly the Benjamini-Hochberg step-up set,
+    # and msfdr at its own the step-down set with alpha_i =
+    # iq/(m+1-i(1-q)), both read here from the sorted two-sided p-values
+    # without any penalty code. Half the draws set the z_j to p-values
+    # around the BH line iq/m, where the step-up and step-down tests
+    # often differ, and keep the noise out of the span of X.
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    Z = rng.standard_normal((n, m))
+    X, _ = np.linalg.qr(Z - Z.mean(axis=0))
+    k = np.arange(1.0, m + 1)
+    noise = rng.standard_normal(n)
+    if near_line:
+        p = np.minimum(k * q / m * np.exp(rng.uniform(-1.0, 1.0, m)), 0.9)
+        beta = inverse_normal_cdf(p / 2.0) * rng.choice([-1.0, 1.0], m)
+        noise -= X @ (X.T @ noise)
+    else:
+        beta = rng.uniform(-6.0, 6.0, m) * (rng.random(m) < 0.5)
+    y = X @ beta + noise
+    ds = Dataset(y=y - y.mean(), X=X, names=tuple(f"x{j}" for j in range(m)), standardized=True)
+    path = forward_path(ds, sigma2=1.0)
+    pvalue = [two_sided_pvalue(float(zj) ** 2) for zj in X.T @ ds.y]
+    by_p = sorted(range(m), key=pvalue.__getitem__)
+    pvals = [pvalue[j] for j in by_p]
+    for family, alphas, size in (("bh", k * q / m, _step_up),
+                                 ("msfdr", k * q / (m + 1 - k * (1 - q)), _step_down)):
+        spec = PenaltySpec(family, q=q)
+        costs = step_costs(spec, m, m)
+        assume(np.all(np.abs(path.tsq - costs) > 1e-9 * costs))
+        want = size(pvals, alphas.tolist())
+        assert sorted(select(ds, spec, path=path).selected) == sorted(by_p[:want])
+
+
 # Levels whose :g form loses digits (0.05000001, 1234567) are included.
 _Q_LEVELS = st.one_of(st.sampled_from([0.05, 0.05000001, 0.1, 1.0 / 3.0]), st.floats(1e-9, 0.49))
 _BM_CONSTANTS = st.one_of(st.sampled_from([2000.0, 5.0, 1234567.0, 1234568.0]),
@@ -680,10 +731,8 @@ def _reference_minimax(outcomes, worst_k):
 
 # Losses drawn from a handful of values tie often; k runs past the cell
 # count and through numpy's 8-wide unrolled sums (8, 9, 16, 17).
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data(), cells=st.integers(1, 40), methods=st.integers(1, 6),
-       ties=st.booleans())
-def test_minimax_summary_matches_per_label_sort(data, cells, methods, ties):
+def _drawn_outcomes(data, cells, methods, ties):
+    """Outcomes of ``cells`` cells, each holding the labels in a drawn order."""
     loss = (st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.1]) if ties
             else st.floats(1.0, 10.0, allow_nan=False))
     labels = [f"method{i}" for i in range(methods)]
@@ -693,7 +742,32 @@ def test_minimax_summary_matches_per_label_sort(data, cells, methods, ties):
         order = data.draw(st.permutations(labels))
         outcomes.append(ConfigOutcome(config, 1.0, tuple(
             MethodOutcome(label, 1.0, data.draw(loss), 0.0) for label in order)))
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), cells=st.integers(1, 40), methods=st.integers(1, 6),
+       ties=st.booleans())
+def test_minimax_summary_matches_per_label_sort(data, cells, methods, ties):
+    outcomes = _drawn_outcomes(data, cells, methods, ties)
     for worst_k in [*range(1, cells + 3), 8, 9, 16, 17, "ALL"]:
         got = minimax_summary(outcomes, worst_k)
         assert list(got) == [mo.label for mo in outcomes[0].methods]
         assert got == _reference_minimax(outcomes, worst_k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), cells=st.integers(1, 40), methods=st.integers(1, 6),
+       ties=st.booleans())
+def test_column_copies_of_one_loss_matrix_match_minimax_summary(data, cells, methods, ties):
+    # summarize reduces C-ordered copies (take) of a subset of one
+    # matrix's columns; each must equal minimax_summary of those cells
+    # alone, bit for bit.
+    outcomes = _drawn_outcomes(data, cells, methods, ties)
+    labels, losses = loss_matrix(outcomes)
+    columns = sorted(data.draw(st.sets(st.integers(0, cells - 1), min_size=1)))
+    subset = losses.take(columns, axis=1)
+    assert subset.flags.c_contiguous
+    for worst_k in [*range(1, len(columns) + 2), 8, 9, "ALL"]:
+        got = dict(zip(labels, worst_k_means(subset, worst_k)))
+        assert got == minimax_summary([outcomes[j] for j in columns], worst_k)
