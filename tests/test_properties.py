@@ -20,9 +20,12 @@ floors of the sweep and of ``estimate_sigma2`` on raw pools whose
 columns are in units up to 10^12 apart; the forward path, sigma2 and
 selection of a raw dataset against those of its standardized copy; the
 column-blocked ``standardize`` against the whole-matrix formula, bit for
-bit; ``standardize`` on constant columns of any finite value; and
-``minimax_summary`` against a per-label sort and ``np.mean``, bit for
-bit.
+bit; ``standardize`` on constant columns of any finite value;
+``minimax_summary`` against a per-label sort and ``np.mean``, and the
+worst-k means of column copies of one loss matrix against
+``minimax_summary`` of those cells, bit for bit; and forward selection
+on designs orthonormal after centering against the Benjamini-Hochberg
+step-up and msfdr step-down tests on sorted p-values.
 """
 
 import logging
@@ -729,10 +732,11 @@ def _reference_minimax(outcomes, worst_k):
     return out
 
 
-# Losses drawn from a handful of values tie often; k runs past the cell
-# count and through numpy's 8-wide unrolled sums (8, 9, 16, 17).
 def _drawn_outcomes(data, cells, methods, ties):
-    """Outcomes of ``cells`` cells, each holding the labels in a drawn order."""
+    """Outcomes of ``cells`` cells, each holding the labels in a drawn order.
+
+    Losses drawn from a handful of values (``ties``) tie often.
+    """
     loss = (st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.1]) if ties
             else st.floats(1.0, 10.0, allow_nan=False))
     labels = [f"method{i}" for i in range(methods)]
@@ -745,6 +749,8 @@ def _drawn_outcomes(data, cells, methods, ties):
     return outcomes
 
 
+# k runs past the cell count and through numpy's 8-wide unrolled sums
+# (8, 9, 16, 17).
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), cells=st.integers(1, 40), methods=st.integers(1, 6),
        ties=st.booleans())
