@@ -223,9 +223,9 @@ def pending_cells(grid: List[SimConfig], labels: List[str], out_dir: Path, force
     return pending
 
 
-def read_results(in_dir) -> tuple:
-    """Every result file in ``in_dir``, in file-name order, and their
-    method labels; there must be one, and all must hold the same labels."""
+def read_results(in_dir) -> List[ConfigOutcome]:
+    """Every result file in ``in_dir``, in file-name order; there must be
+    one, and all must hold the same method labels."""
     in_dir = Path(in_dir)
     try:  # the names Path.glob("*.tsv") yields, dot-named ones too
         files = [in_dir / name for name in sorted(os.listdir(in_dir)) if name.endswith(".tsv")]
@@ -240,4 +240,4 @@ def read_results(in_dir) -> tuple:
         if other != labels:
             raise ValueError(f"{f} holds methods {', '.join(other)}; "
                              f"{files[0]} holds {', '.join(labels)}")
-    return outcomes, labels
+    return outcomes

@@ -43,7 +43,7 @@ def _cmd_select(args) -> int:
     if not args.expand and (args.square_exclude is not None or args.no_interactions):
         raise ValueError("--square-exclude and --no-interactions need --expand")
     sigma2 = None
-    if args.sigma2 and args.sigma2 != "full-model":
+    if args.sigma2 != "full-model":
         if not args.sigma2.startswith("known:"):
             raise ValueError("--sigma2 expects 'full-model' or 'known:<value>'")
         try:
@@ -155,8 +155,8 @@ def _cmd_summarize(args) -> int:
             worst_k = 0
         if worst_k < 1:
             raise ValueError(f"--worst-k {args.worst_k!r}: expected a positive integer or ALL")
-    outcomes, labels = read_results(args.in_dir)
-    losses = loss_matrix(outcomes)[1]
+    outcomes = read_results(args.in_dir)
+    labels, losses = loss_matrix(outcomes)
 
     def worst_of(keep, worst_k=worst_k):
         """Worst-k means, in label order, over the cells whose config passes

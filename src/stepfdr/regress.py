@@ -204,8 +204,8 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     Serves as the reference oracle for the incremental forward path.
     The intercept is swept out as in the pool: y and the subset's
     columns are centered, unless the dataset is standardized and so
-    centered already. A raw fit still spends one degree of freedom on
-    the intercept.
+    centered already. Every fit spends one degree of freedom on the
+    intercept, so the subset must leave at least one residual.
     """
     subset = list(subset)
     if len(set(subset)) != len(subset):
@@ -216,7 +216,7 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
         A = A - A.mean(axis=0)
     if not subset:
         return np.empty(0), float(y @ y)
-    if len(subset) + (not dataset.standardized) >= dataset.n:
+    if len(subset) + 1 >= dataset.n:
         raise ValueError("subset too large for the number of observations")
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     if rank < len(subset):
@@ -314,7 +314,8 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
         rss_full = float(r @ r)
     else:
         try:
-            _, rss_full = least_squares(dataset, range(dataset.m))
+            _, rss_full = least_squares(Dataset._derived(y, X, dataset.names, True),
+                                        range(dataset.m))
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError(_rank_deficiency(dataset.names, pool)) from None
         log.warning(

@@ -25,7 +25,7 @@ def brute_force_forward(X: np.ndarray, y: np.ndarray):
     chosen: list = []
     rss_prev = float(y @ y)
     rss_seq = [rss_prev]
-    for _ in range(min(m, n - 1)):
+    for _ in range(min(m, n - 2)):  # as forward_path: one dof goes to the intercept
         best_j, best_rss = None, None
         for j in range(m):
             if j in chosen:

@@ -34,7 +34,6 @@ __all__ = [
     "loss_matrix",
     "worst_k_means",
     "minimax_summary",
-    "best_q_tables",
     "q_tables",
 ]
 
@@ -307,11 +306,6 @@ def minimax_summary(outcomes: Sequence[ConfigOutcome], worst_k: object = 1) -> D
     ``worst_k_means`` of their ``loss_matrix``, by label."""
     labels, losses = loss_matrix(outcomes)
     return dict(zip(labels, worst_k_means(losses, worst_k)))
-
-
-def best_q_tables(outcomes: Sequence[ConfigOutcome]) -> Dict[str, Dict[float, float]]:
-    """``q_tables`` of ``minimax_summary(outcomes, 1)``, with its errors."""
-    return q_tables(minimax_summary(outcomes, 1))
 
 
 def q_tables(worst: Dict[str, float]) -> Dict[str, Dict[float, float]]:

@@ -847,10 +847,11 @@ class TestCli:
         assert captured.err == "error: c_bm must be positive and finite\n"
 
     def test_select_rejects_a_sigma2_of_another_form(self, capsys):
-        assert self._select("--method", "aic", "--sigma2", "2900") == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --sigma2 expects 'full-model' or 'known:<value>'\n"
+        for value in ("2900", ""):
+            assert self._select("--method", "aic", "--sigma2", value) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --sigma2 expects 'full-model' or 'known:<value>'\n"
 
     def test_simulate_rejects_a_line_without_a_value(self, capsys, tmp_path):
         cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho 0\n")

@@ -134,11 +134,13 @@ class TestLeastSquares:
             least_squares(ds, [1, 1])
 
     def test_subset_too_large_rejected(self):
-        # With its ones column, a raw dataset's fit of n - 1 columns has
-        # no residual degree of freedom left.
-        ds = _random_dataset(np.random.default_rng(5), n=6, m=5)
-        with pytest.raises(ValueError, match="subset too large for the number of observations"):
-            least_squares(ds, range(5))
+        # With its intercept, a fit of n - 1 columns has no residual degree
+        # of freedom left, whether the dataset is raw or standardized.
+        raw = _random_dataset(np.random.default_rng(5), n=6, m=5)
+        for ds in (raw, standardize(raw)):
+            with pytest.raises(ValueError,
+                               match="subset too large for the number of observations"):
+                least_squares(ds, range(5))
 
     def test_rank_deficient_rejected(self):
         X = np.ones((8, 2))

@@ -8,7 +8,7 @@ import pytest
 from stepfdr.penalties import PenaltySpec
 from stepfdr.quantiles import RandomSource
 from stepfdr.regress import cross_products, forward_sweep
-from stepfdr.selector import parse_method
+from stepfdr.selector import choose_size, default_rule, parse_method
 from stepfdr.selfcheck import explicit_projection_mspe
 from stepfdr.simlab import (
     ConfigOutcome,
@@ -298,8 +298,6 @@ class TestSummaries:
             minimax_summary(outs, 1)
 
     def test_label_only_a_later_outcome_holds_is_named(self):
-        from stepfdr.simlab import best_q_tables
-
         outs = [
             ConfigOutcome(config=SimConfig(m=8, rho=0.0, beta_type=1, p_index=i),
                           oracle_mspe=1.0,
@@ -309,9 +307,8 @@ class TestSummaries:
         ]
         message = ("outcome m8_rho\\+0.00_b1_p2 holds method bh:0.1, "
                    "which outcome m8_rho\\+0.00_b1_p1 lacks")
-        for summary in (lambda o: minimax_summary(o, 1), best_q_tables):
-            with pytest.raises(ValueError, match=message):
-                summary(outs)
+        with pytest.raises(ValueError, match=message):
+            minimax_summary(outs, 1)
 
     def test_best_q_tables_parse_each_label_once(self, monkeypatch):
         from stepfdr import simlab
@@ -328,7 +325,7 @@ class TestSummaries:
         parsed = []
         monkeypatch.setattr(simlab, "parse_method",
                             lambda label: parsed.append(label) or parse_method(label))
-        tables = simlab.best_q_tables(outs)
+        tables = simlab.q_tables(simlab.minimax_summary(outs, 1))
         assert sorted(parsed) == sorted(labels)
         assert tables == {"bh": {0.05: 2.0, 0.1: 2.1}, "tsfdr": {0.1: 2.5},
                           "msfdr": {0.05: 2.2}}
@@ -347,11 +344,11 @@ class TestSummaries:
         ]
 
     def test_best_q_tables_read_the_worst_one_summary(self):
-        from stepfdr.simlab import best_q_tables
+        from stepfdr.simlab import q_tables
 
         outs = self._two_levels_per_family()
         worst = minimax_summary(outs, 1)
-        tables = best_q_tables(outs)
+        tables = q_tables(worst)
         assert {family: list(table) for family, table in tables.items()} == {
             "bh": [0.05, 0.1], "tsfdr": [0.05, 0.1], "msfdr": [0.05, 0.1]}
         for family, table in tables.items():
@@ -360,12 +357,61 @@ class TestSummaries:
         # msfdr:0.05 is the default-rule label, not msfdr:0.05@global-min.
         assert worst["msfdr:0.05"] != worst["msfdr:0.05@global-min"]
 
-    def test_best_q_tables_name_an_outcome_that_lacks_a_label(self):
-        from stepfdr.simlab import best_q_tables
 
-        outs = self._two_levels_per_family()
-        outs[2] = ConfigOutcome(outs[2].config, 1.0,
-                                tuple(mo for mo in outs[2].methods if mo.label != "tsfdr:0.1"))
-        with pytest.raises(ValueError,
-                           match="outcome m8_rho\\+0.50_b1_p1 lacks method tsfdr:0.1"):
-            best_q_tables(outs)
+class TestFdrControl:
+    """On a design orthonormal after centering, with sigma2 = 1 known, the
+    t's are independent and forward selection enters columns by |t|; the
+    FDR penalties are then the multiple tests, whose false discovery rate
+    is known (Benjamini & Hochberg 1995; Gavrilov, Benjamini & Sarkar 2009;
+    Benjamini, Krieger & Yekutieli 2006)."""
+
+    M, N, Q = 20, 30, 0.1
+    FAMILIES = ("bh", "msfdr", "tsfdr")
+
+    def _false_discoveries(self, m1, reps, seed):
+        """Each family's false discovery proportion and selected k per
+        replication, at true effects of t = 3 on the first m1 columns."""
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((self.N, self.M))
+        X = np.linalg.qr(Z - Z.mean(axis=0))[0]
+        beta = np.zeros(self.M)
+        beta[:m1] = 3.0 * rng.choice([-1.0, 1.0], m1)
+        pool = cross_products(X, True)
+        Y = X @ beta + rng.standard_normal((reps, self.N))
+        rss = np.full((reps, self.M + 1), np.inf)
+        orders = np.full((reps, self.M), -1)
+        for r, y in enumerate(Y):
+            order, rss_r, _ = forward_sweep(pool, y, self.M)
+            rss[r, :len(rss_r)] = rss_r
+            orders[r, :len(order)] = order
+        found = {}
+        for family in self.FAMILIES:
+            spec = PenaltySpec(family, q=self.Q)
+            _, k, _ = choose_size(rss, 1.0, spec, self.M, default_rule(spec))
+            false = ((orders >= m1) & (np.arange(self.M) < k[:, None])).sum(axis=1)
+            found[family] = false / np.maximum(k, 1), k
+        return found
+
+    @staticmethod
+    def _mean_se(values):
+        return values.mean(), values.std(ddof=1) / math.sqrt(len(values))
+
+    def test_mean_fdp_is_the_multiple_tests_rate(self):
+        m1 = 4
+        found = self._false_discoveries(m1, reps=2000, seed=11)
+        mean, se = self._mean_se(found["bh"][0])
+        # BH step-up: FDR = q * m0 / m exactly, for independent statistics.
+        assert abs(mean - self.Q * (self.M - m1) / self.M) <= 4 * se, (mean, se)
+        for family in ("msfdr", "tsfdr"):
+            mean, se = self._mean_se(found[family][0])
+            assert mean <= self.Q + 4 * se, (family, mean, se)
+
+    def test_under_the_null_a_selection_is_made_at_the_level(self):
+        # With no true effect every selection is false, so the rate of
+        # selecting anything is the FDR: q for BH, at most q for the others.
+        found = self._false_discoveries(0, reps=1000, seed=12)
+        for family, (_, k) in found.items():
+            rate, se = self._mean_se((k > 0).astype(float))
+            assert rate <= self.Q + 4 * se, (family, rate, se)
+            if family == "bh":
+                assert rate >= self.Q - 4 * se, (rate, se)
