@@ -205,7 +205,7 @@ def least_squares(dataset: Dataset, subset: Sequence[int]) -> tuple:
     The intercept is swept out as in the pool: y and the subset's
     columns are centered, unless the dataset is standardized and so
     centered already. Every fit spends one degree of freedom on the
-    intercept, so the subset must leave at least one residual.
+    intercept, so a subset of n - 1 or more columns is rejected.
     """
     subset = list(subset)
     if len(set(subset)) != len(subset):
@@ -289,7 +289,7 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
     Cholesky factor of X'X checks the rank first: when the pool has a
     dead column, the factor fails, or a squared pivot is at most
     RANK_RTOL times its column's diagonal of X'X (unit-free),
-    ``least_squares`` fits by SVD instead (centered the same way) and a
+    ``least_squares`` fits the pool's columns by SVD instead and a
     logged warning gives the smallest ratio (0 for a dead column); on a
     rank-deficient pool only the ``LinAlgError`` is raised, naming the
     columns at fault. An RSS_full of at most 1e-12 of RSS_0 is logged too.

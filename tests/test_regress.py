@@ -23,6 +23,7 @@ from stepfdr.regress import (
     standardize,
 )
 from stepfdr.selector import select
+from stepfdr.selfcheck import brute_force_forward
 
 
 def _random_dataset(rng, n=30, m=6):
@@ -168,6 +169,14 @@ class TestForwardSweep:
                 assert rss[step + 1] == pytest.approx(
                     least_squares(ds, chosen)[1], rel=1e-8
                 )
+
+    def test_brute_force_stops_where_the_path_does(self):
+        # Both leave the intercept its degree of freedom: n - 2 entries at most.
+        ds = standardize(_random_dataset(np.random.default_rng(5), n=6, m=5))
+        order, rss = brute_force_forward(ds.X, ds.y)
+        path = forward_path(ds, sigma2=1.0)
+        assert order == list(path.entered) and len(order) == 4
+        np.testing.assert_allclose(rss, path.rss, rtol=1e-8)
 
     def test_tie_breaks_to_lowest_index(self):
         x = np.array([1.0, -1.0, 1.0, -1.0])
