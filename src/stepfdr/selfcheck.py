@@ -17,13 +17,12 @@ from .simlab import path_prefix_mspe, random_oracle
 __all__ = ["brute_force_forward", "explicit_projection_mspe", "run"]
 
 
-def brute_force_forward(X: np.ndarray, y: np.ndarray):
-    """Forward selection by refitting every candidate subset from scratch."""
-    n, m = X.shape
-    names = tuple(f"x{j}" for j in range(m))
-    ds = Dataset(y=y, X=X, names=names, standardized=True)
+def brute_force_forward(dataset: Dataset):
+    """Forward selection on ``dataset`` by refitting every candidate subset
+    from scratch with ``least_squares``, intercept included."""
+    n, m = dataset.n, dataset.m
     chosen: list = []
-    rss_prev = float(y @ y)
+    rss_prev = least_squares(dataset, [])[1]
     rss_seq = [rss_prev]
     for _ in range(min(m, n - 2)):  # as forward_path: one dof goes to the intercept
         best_j, best_rss = None, None
@@ -31,7 +30,7 @@ def brute_force_forward(X: np.ndarray, y: np.ndarray):
             if j in chosen:
                 continue
             try:
-                _, rss = least_squares(ds, chosen + [j])
+                _, rss = least_squares(dataset, chosen + [j])
             except np.linalg.LinAlgError:
                 continue
             if best_rss is None or rss < best_rss - 1e-12 * rss_seq[0]:
@@ -70,7 +69,7 @@ def run(instances: int = 500, seed: int = 20090194) -> list:
         ds = standardize(Dataset(y=y, X=X, names=tuple(f"x{j}" for j in range(m))))
 
         path = forward_path(ds, sigma2=1.0)
-        b_order, b_rss = brute_force_forward(ds.X, ds.y)
+        b_order, b_rss = brute_force_forward(ds)
         if list(path.entered[: len(b_order)]) != b_order:
             path_ok = False
         if not np.allclose(path.rss[: len(b_rss)], b_rss, rtol=1e-8):

@@ -270,21 +270,19 @@ def _ratio_se(yv: np.ndarray, x: np.ndarray, ratio: float) -> float:
 
 
 def loss_matrix(outcomes: Sequence[ConfigOutcome]) -> Tuple[list, np.ndarray]:
-    """The labels of outcomes that all hold the same labels, and their relative
-    losses as one C-ordered (methods x outcomes) array, rows in label order."""
+    """The labels of outcomes that all list the first outcome's labels, in
+    order, and their relative losses as one C-ordered (methods x outcomes)
+    array."""
     if not outcomes:
         raise ValueError("no configuration outcomes to summarize")
     labels = [mo.label for mo in outcomes[0].methods]
     losses = np.empty((len(labels), len(outcomes)))
     for j, o in enumerate(outcomes):
-        by_label = {mo.label: mo.relative_loss for mo in o.methods}
-        try:
-            losses[:, j] = [by_label.pop(label) for label in labels]
-        except KeyError as exc:
-            raise ValueError(f"outcome {o.config.key()} lacks method {exc.args[0]}") from None
-        if by_label:
-            raise ValueError(f"outcome {o.config.key()} holds method {next(iter(by_label))}, "
-                             f"which outcome {outcomes[0].config.key()} lacks")
+        other = [mo.label for mo in o.methods]
+        if other != labels:
+            raise ValueError(f"outcome {o.config.key()} holds methods {', '.join(other)}; "
+                             f"outcome {outcomes[0].config.key()} holds {', '.join(labels)}")
+        losses[:, j] = [mo.relative_loss for mo in o.methods]
     return labels, losses
 
 

@@ -231,6 +231,25 @@ class TestOutcomeRoundTrip:
         assert back.methods == out.methods
         assert back.dominance_violations == out.dominance_violations
 
+    def test_one_replication_has_no_standard_error(self, tmp_path):
+        cfg = SimConfig(m=8, rho=0.0, beta_type=1, p_index=2, replications=1, seed=3)
+        out = run_config(cfg, [(PenaltySpec("msfdr", q=0.05), None),
+                               (PenaltySpec("aic"), None)])
+        assert all(np.isnan(mo.se_relative_loss) for mo in out.methods)
+        back = read_outcome(write_outcome(out, tmp_path))
+        assert back.config == cfg and back.oracle_mspe == out.oracle_mspe
+        assert [(mo.label, mo.mean_mspe, mo.relative_loss) for mo in back.methods] == \
+            [(mo.label, mo.mean_mspe, mo.relative_loss) for mo in out.methods]
+        assert all(np.isnan(mo.se_relative_loss) for mo in back.methods)
+
+    def test_blank_line_in_the_method_table_is_skipped(self, tmp_path):
+        cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
+        methods = (MethodOutcome("aic", 1.5, 2.0, 0.25), MethodOutcome("bic", 1.25, 1.5, 0.125))
+        path = write_outcome(ConfigOutcome(cfg, 0.1, methods), tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + ["", lines[-1]]) + "\n")
+        assert read_outcome(path).methods == methods
+
     def test_every_config_field_round_trips(self, tmp_path):
         cfg = SimConfig(m=6, rho=-0.3, beta_type=1, p_index=2, replications=5,
                         seed=11, c_scale=1.25, effect_target=4.5)
@@ -686,8 +705,8 @@ class TestCli:
         rc = main(["summarize", "--in", str(out_dir)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "m8_rho+0.00_b1_p2.tsv holds methods aic;" in err
-        assert "m8_rho+0.00_b1_p1.tsv holds msfdr:0.05, bm" in err
+        assert ("outcome m8_rho+0.00_b1_p2 holds methods aic; "
+                "outcome m8_rho+0.00_b1_p1 holds msfdr:0.05, bm") in err
 
     @pytest.mark.parametrize("cpus, pools", [(1, []), (2, [2])])
     def test_simulate_workers_default_to_usable_cpus(self, capsys, tmp_path, cpus, pools):

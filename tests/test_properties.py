@@ -733,20 +733,17 @@ def _reference_minimax(outcomes, worst_k):
 
 
 def _drawn_outcomes(data, cells, methods, ties):
-    """Outcomes of ``cells`` cells, each holding the labels in a drawn order.
+    """Outcomes of ``cells`` cells, all holding the labels in one drawn order.
 
     Losses drawn from a handful of values (``ties``) tie often.
     """
     loss = (st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.1]) if ties
             else st.floats(1.0, 10.0, allow_nan=False))
-    labels = [f"method{i}" for i in range(methods)]
+    order = data.draw(st.permutations([f"method{i}" for i in range(methods)]))
     configs = [SimConfig(m=20, rho=0.0, beta_type=1, p_index=1, seed=j) for j in range(cells)]
-    outcomes = []
-    for config in configs:
-        order = data.draw(st.permutations(labels))
-        outcomes.append(ConfigOutcome(config, 1.0, tuple(
-            MethodOutcome(label, 1.0, data.draw(loss), 0.0) for label in order)))
-    return outcomes
+    return [ConfigOutcome(config, 1.0, tuple(
+        MethodOutcome(label, 1.0, data.draw(loss), 0.0) for label in order))
+        for config in configs]
 
 
 # k runs past the cell count and through numpy's 8-wide unrolled sums

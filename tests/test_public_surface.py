@@ -38,7 +38,8 @@ def _reexports():
 def test_modules_with_an_all_are_covered():
     listed = {name for name in MODULES
               if hasattr(importlib.import_module(f"stepfdr.{name}"), "__all__")}
-    assert {"dataio", "penalties", "quantiles", "regress", "selector", "simlab"} <= listed
+    assert {"campaign", "dataio", "penalties", "quantiles", "regress", "selector", "selfcheck",
+            "simlab"} <= listed
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -173,9 +173,49 @@ class TestForwardSweep:
     def test_brute_force_stops_where_the_path_does(self):
         # Both leave the intercept its degree of freedom: n - 2 entries at most.
         ds = standardize(_random_dataset(np.random.default_rng(5), n=6, m=5))
-        order, rss = brute_force_forward(ds.X, ds.y)
+        order, rss = brute_force_forward(ds)
         path = forward_path(ds, sigma2=1.0)
         assert order == list(path.entered) and len(order) == 4
+        np.testing.assert_allclose(rss, path.rss, rtol=1e-8)
+
+    @staticmethod
+    def _offset_pool():
+        ds = _random_dataset(np.random.default_rng(3), m=5)
+        return Dataset(y=ds.y + 50.0, X=ds.X + 50.0, names=ds.names)
+
+    def test_brute_force_fits_the_intercept_of_a_raw_pool(self):
+        # Wrapped as standardized, the raw pool was fitted without an
+        # intercept and entered (0, 2, 3, 1, 4).
+        ds = self._offset_pool()
+        order, rss = brute_force_forward(ds)
+        path = forward_path(ds, sigma2=1.0)
+        assert order == list(path.entered) == [3, 4, 0, 1, 2]
+        np.testing.assert_allclose(rss, path.rss, rtol=1e-8)
+
+    def test_brute_force_skips_a_rank_deficient_subset_and_stops(self, caplog, monkeypatch):
+        # Column 3 copies column 1: once column 1 is in, its fit is rank
+        # deficient, and with nothing else left the search stops.
+        from stepfdr import selfcheck
+
+        ds = self._offset_pool()
+        X = np.column_stack([ds.X[:, :3], ds.X[:, 1]])
+        ds = Dataset(y=ds.y, X=X, names=("a", "b", "c", "d"))
+        rejected = []
+
+        def fit(dataset, subset):
+            try:
+                return least_squares(dataset, subset)
+            except np.linalg.LinAlgError:
+                rejected.append(subset)
+                raise
+
+        monkeypatch.setattr(selfcheck, "least_squares", fit)
+        order, rss = brute_force_forward(ds)
+        assert rejected == [[0, 2, 1, 3]]
+        with caplog.at_level(logging.WARNING, logger="stepfdr.regress"):
+            path = forward_path(ds, sigma2=1.0)
+        _assert_one_regress_warning(caplog.records, "stopped at depth 3 of 4")
+        assert order == list(path.entered) == [0, 2, 1]
         np.testing.assert_allclose(rss, path.rss, rtol=1e-8)
 
     def test_tie_breaks_to_lowest_index(self):

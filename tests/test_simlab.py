@@ -16,6 +16,7 @@ from stepfdr.simlab import (
     SimConfig,
     gen_beta,
     gen_design,
+    loss_matrix,
     minimax_summary,
     p_from_index,
     path_prefix_mspe,
@@ -102,6 +103,19 @@ class TestGenBeta:
             assert beta.shape == (20,)
             assert np.all(beta[:p] != 0.0)
             assert np.all(beta[p:] == 0.0)  # zeros beyond the support
+
+    def test_type2_uniform_shape_when_p_is_sqrt_m(self):
+        cfg = SimConfig(m=20, rho=0.0, beta_type=2, p_index=1, seed=5)
+        X = gen_design(cfg.m, cfg.n, cfg.rho, RandomSource(5).substream(1))
+        beta = gen_beta(cfg, X, RandomSource(5).substream(2))
+        again = gen_beta(cfg, X, RandomSource(5).substream(2))
+        assert beta.tobytes() == again.tobytes()
+        p = cfg.p
+        assert np.all(beta[p:] == 0.0)
+        # The shape is uniform on [1/m, 1): no entry below 1/m of the largest.
+        support = np.abs(beta[:p])
+        assert support.min() > 0.0
+        assert support.min() / support.max() >= 1.0 / cfg.m
 
     def test_type1_inverse_sqrt_decay(self):
         cfg = SimConfig(m=16, rho=0.0, beta_type=1, p_index=4, seed=1)
@@ -294,8 +308,22 @@ class TestSummaries:
     def test_outcome_lacking_a_label_is_named(self):
         outs = self._fake_outcomes()
         outs[2] = ConfigOutcome(outs[2].config, 1.0, outs[2].methods[:1])
-        with pytest.raises(ValueError, match="outcome m8_rho\\+0.00_b1_p3 lacks method b"):
+        message = ("outcome m8_rho\\+0.00_b1_p3 holds methods a; "
+                   "outcome m8_rho\\+0.00_b1_p1 holds a, b")
+        with pytest.raises(ValueError, match=message):
             minimax_summary(outs, 1)
+
+    @pytest.mark.parametrize("summarize", [loss_matrix, lambda outs: minimax_summary(outs, 1)],
+                             ids=["loss_matrix", "minimax_summary"])
+    def test_outcome_listing_the_labels_in_another_order_is_named(self, summarize):
+        # Every outcome lists the first outcome's labels in order, as a
+        # campaign writes them; a reordered list is another method list.
+        outs = self._fake_outcomes()
+        outs[1] = ConfigOutcome(outs[1].config, 1.0, outs[1].methods[::-1])
+        message = ("outcome m8_rho\\+0.00_b1_p2 holds methods b, a; "
+                   "outcome m8_rho\\+0.00_b1_p1 holds a, b")
+        with pytest.raises(ValueError, match=message):
+            summarize(outs)
 
     def test_label_only_a_later_outcome_holds_is_named(self):
         outs = [
@@ -305,8 +333,8 @@ class TestSummaries:
                                         for lbl, loss in zip(labels, (1.3, 9.0))))
             for i, labels in ((1, ("bh:0.05",)), (2, ("bh:0.05", "bh:0.1")))
         ]
-        message = ("outcome m8_rho\\+0.00_b1_p2 holds method bh:0.1, "
-                   "which outcome m8_rho\\+0.00_b1_p1 lacks")
+        message = ("outcome m8_rho\\+0.00_b1_p2 holds methods bh:0.05, bh:0.1; "
+                   "outcome m8_rho\\+0.00_b1_p1 holds bh:0.05")
         with pytest.raises(ValueError, match=message):
             minimax_summary(outs, 1)
 
