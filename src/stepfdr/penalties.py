@@ -58,7 +58,8 @@ class PenaltySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise UnsupportedFamilyError(f"unknown penalty family {self.family!r}")
+            raise UnsupportedFamilyError(f"unknown penalty family {self.family!r}; "
+                                         f"known families: {', '.join(FAMILIES)}")
         if self.family in ("bh", "msfdr", "tsfdr"):
             if self.q is None or not 0.0 < self.q < 1.0:
                 raise ValueError(f"{self.family} requires q in (0, 1)")
@@ -185,10 +186,16 @@ def penalty_table(spec: PenaltySpec, m: int, k_max: Optional[int] = None) -> Pen
         alpha = _alphas(spec, m, k_max)
     else:
         alpha = np.full(k_max, np.nan)
-    # lambda_k is the mean of each prefix, taken as .mean() takes it (a
-    # pairwise sum, then one division) without its per-call overhead.
-    # cumsum(c) / k rounds differently, and the cost column (differences
-    # of k * lambda_k) shows that at about 1e-11 relative for large m.
+    # lambda_k is the mean of each prefix, bit for bit as .mean() takes it:
+    # 0.0 plus a pairwise sum of c_1..c_k, then one division.  reduceat
+    # sums a segment as its first cell plus a pairwise sum of the rest, so
+    # each even segment starts at a padded 0.0; the trailing 0.0 keeps the
+    # last bound inside the array, and the odd one-cell segments are
+    # dropped.  Without the pad, or with cumsum(c) / k, the bits differ
+    # (tests/test_properties.py::test_penalty_table_lambda_is_each_prefix_mean).
     costs = step_costs(spec, m, k_max)
-    lam = np.fromiter((float(np.add.reduce(costs[:k])) / k for k in range(1, k_max + 1)), float)
+    ks = np.arange(1, k_max + 1)
+    bounds = np.zeros(2 * k_max, dtype=np.intp)
+    bounds[1::2] = ks + 1
+    lam = np.add.reduceat(np.concatenate([[0.0], costs, [0.0]]), bounds)[::2] / ks
     return PenaltyTable(spec=spec, m=m, k_max=k_max, alpha=alpha, lam=lam)

@@ -141,7 +141,8 @@ class ForwardPath:
             raise ValueError(f"sigma2 must be a positive finite number, got {self.sigma2}")
         object.__setattr__(self, "entered", tuple(self.entered))
         object.__setattr__(self, "rss", rss)
-        object.__setattr__(self, "tsq", -np.diff(rss) / self.sigma2)
+        with np.errstate(over="ignore"):  # a subnormal sigma2 gives tsq = inf, as it should
+            object.__setattr__(self, "tsq", -np.diff(rss) / self.sigma2)
 
     @property
     def depth(self) -> int:

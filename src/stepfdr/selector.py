@@ -138,7 +138,8 @@ def choose_size(rss: np.ndarray, sigma2: float, spec: PenaltySpec, m: int, rule:
             costs[rows] = c = step_costs(stage, pool, K) if K else np.zeros(0)
         except ValueError as err:  # name the method asked for, not its BH stage
             raise err if stage is spec else ValueError(f"{spec.label()}, stage {err}") from None
-        return paths[rows] + sigma2 * np.concatenate([[0.0], np.cumsum(c)])
+        with np.errstate(over="ignore"):  # a huge sigma2 gives an inf trace, as it should
+            return paths[rows] + sigma2 * np.concatenate([[0.0], np.cumsum(c)])
 
     trace = penalized(slice(None), m)
     k = stop(trace, rule)

@@ -856,6 +856,32 @@ class TestCli:
         want = {"0": "0.0", "-inf": "-inf"}.get(value, value)
         assert captured.err == f"error: sigma2 must be a positive finite number, got {want}\n"
 
+    @pytest.mark.parametrize("sigma2, k", [("known:1e-310", 10), ("known:1e307", 0)])
+    def test_select_at_an_extreme_known_sigma2_warns_nothing(self, capsys, sigma2, k):
+        # A subnormal sigma2 makes every tsq inf and a huge one every
+        # penalized trace past k = 0; numpy's overflow warnings would
+        # reach the terminal (here, raised as errors, exit 1).
+        for method in ("msfdr:0.05", "bh:0.05", "tsfdr:0.05", "fixed-alpha:0.05", "aic", "dj",
+                       "fs", "tk", "bm", "gf", "msfdr:0.05 --iterative"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert self._select("--method", *method.split(), "--sigma2", sigma2) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert f"# k_selected\t{k}\n" in captured.out, method
+
+    @pytest.mark.parametrize("source", ["select-empty", "select-level-only", "campaign"])
+    def test_an_empty_family_names_the_known_ones(self, capsys, tmp_path, source):
+        if source == "campaign":
+            cfgfile = _write(tmp_path, "c.txt", "m = 8\nrho = 0\nmethods = aic,,bh:0.05\n")
+            rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "out")])
+        else:
+            rc = self._select("--method", "" if source == "select-empty" else ":0.05")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: unknown penalty family ''; known families: bh, msfdr, tsfdr, "
+            "fixed-alpha, aic, dj, fs, tk, bm, gf\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_select_rejects_a_bm_constant_that_is_not_finite(self, capsys, value):
         # Without the check, nan selected BMI with a nan trace and inf

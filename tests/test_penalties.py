@@ -175,9 +175,19 @@ class TestPenaltyTable:
         spec = PenaltySpec("msfdr", q=0.05)
         table = penalty_table(spec, 40)
         assert table.k_max == 40
-        assert np.allclose(table.lam, [penalty_factor(spec, k, 40) for k in range(1, 41)])
+        assert table.lam.tolist() == [penalty_factor(spec, k, 40) for k in range(1, 41)]
         assert np.allclose(table.cost, step_costs(spec, 40, 40), atol=1e-10)
         assert np.allclose(table.alpha, [step_alpha(spec, i, 40) for i in range(1, 41)])
+
+    # The benchmark's wide tables and the north-star record print lambda
+    # at m = 500 and m = 1000; each must be the prefix's .mean() exactly.
+    @pytest.mark.parametrize("m", [500, 1000])
+    @pytest.mark.parametrize("family", STANDALONE)
+    def test_lambda_is_each_prefix_mean_at_the_recorded_sizes(self, family, m):
+        spec = _spec(family)
+        costs = step_costs(spec, m, m)
+        lam = penalty_table(spec, m).lam
+        assert lam.tolist() == [costs[:k].mean() for k in range(1, m + 1)]
 
     def test_alpha_nan_for_non_fdr(self):
         table = penalty_table(PenaltySpec("aic"), 10)
