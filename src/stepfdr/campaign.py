@@ -60,8 +60,8 @@ _CONFIG_TYPES = {f.name: _hints[f.name] for f in fields(SimConfig)}
 
 
 def _config_text(name: str, value) -> str:
-    """A config value as written to a result file (floats as %.17g)."""
-    as_float = _CONFIG_TYPES[name] is not int and not isinstance(value, str)
+    """A config value as written to a result file (floats as %.17g, bools as True/False)."""
+    as_float = _CONFIG_TYPES[name] not in (int, bool) and not isinstance(value, str)
     return _FLOAT_FMT % value if as_float else str(value)
 
 
@@ -71,6 +71,10 @@ def _config_value(name: str, text: str):
     A malformed value is reported with the field's name.
     """
     kind = _CONFIG_TYPES[name]
+    if kind is bool:
+        if text not in ("True", "False"):
+            raise ValueError(f"{name}: {text!r} is not a boolean")
+        return text == "True"
     if kind not in (int, float) and text == "auto":
         return "auto"
     try:

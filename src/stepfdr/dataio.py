@@ -6,14 +6,17 @@ import codecs
 import contextlib
 import importlib.resources
 import io
+import mmap
 import os
+import shutil
 import signal
 import struct
+import tempfile
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,15 +41,22 @@ def _sniff_delimiter(header: str) -> str:
 
 
 def _header_names(path, line: str, delim: str) -> list:
-    """Column names of a header line; a name given twice is rejected."""
+    """Column names of a header line; a name left empty or given twice is rejected."""
     header = [h.strip() for h in line.split(delim)]
     first: dict = {}
     for col, name in enumerate(header, start=1):
+        if not name:
+            raise ValueError(f"{path}: header column {col} has no name")
         if first.setdefault(name, col) != col:
-            raise ValueError(
-                f"{path}: header name {name!r} appears twice, in columns {first[name]} and {col}"
-            )
+            raise ValueError(f"{path}: header name {name!r} appears twice, "
+                             f"in columns {first[name]} and {col}")
     return header
+
+
+def _reader(raw, pos: int, newline=None):
+    """A text reader of ``raw``'s file from byte ``pos`` on; closing it leaves the file open."""
+    raw.seek(pos)
+    return open(raw.fileno(), encoding="utf-8", newline=newline, closefd=False)
 
 
 def _load_numeric(fh, delim: str) -> Optional[np.ndarray]:
@@ -59,10 +69,9 @@ def _load_numeric(fh, delim: str) -> Optional[np.ndarray]:
             return None
 
 
-# Body size (bytes after the header) from which ingest parses in forked
-# children. On a 2-CPU Xeon VM (numpy 2.4.6, 51-column tables) two
-# children tied one np.loadtxt at 1.0-1.2 MB (a fork costs about 2.5 ms)
-# and won from 1.4 MB in every sweep.
+# Body size (bytes after the header) from which ingest splits its parse.
+# On a 2-CPU Xeon VM (numpy 2.4.6, 51-column tables) two forked children
+# tied one np.loadtxt at 1.0-1.2 MB and won from 1.4 MB in every sweep.
 SPLIT_BYTES = 3 << 19
 
 _SHAPE = struct.Struct("<qq")
@@ -72,42 +81,48 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
     The named response column is separated out; remaining columns
-    become candidates.  Header names must be distinct.  Cells must be
-    finite numbers; errors name the offending row and column.  An empty
-    file, a repeated name and a missing response are rejected from the
-    header, before any of the body is parsed.  A leading UTF-8
-    byte-order mark, as spreadsheet programs write, is skipped.
+    become candidates.  The header, the first line not blank after a
+    leading UTF-8 byte-order mark, must name every column once and the
+    response; it is checked before the body, which every parse reads
+    from its byte offset on.  Cells must be finite numbers; errors name
+    the offending row and column.
 
     At most two arrays the size of X are alive at any time: the parsed
     table and X while the columns are copied out, then X and its
     standardized copy.
 
-    numpy parses the data in one streaming pass.  A body of at least
-    ``SPLIT_BYTES`` is cut at newlines into one part per usable CPU and
-    each part is parsed by a forked child (see ``_load_parts``); the
-    children hold their own parts, and this process only reads their
-    rows into the table, so its peak stays as above.  Whenever numpy or
-    a child fails, or the array lacks 3 rows, a column per name or
-    finite cells, the line-by-line parser reads the body instead: it
+    numpy parses the body, one range of ``_body_parts`` per process
+    (``_load_parts``).  If numpy or a child fails, or the array lacks 3
+    rows, a column per name or finite cells, the line-by-line parser
     raises the error naming row and column, or parses what only
-    Python's ``float`` accepts (such as ``1_000``).
-
-    With ``standardize_data=False`` X and y are returned as read; the
-    dataset still selects with an intercept (see ``Dataset``).
+    Python's ``float`` accepts (such as ``1_000``).  With
+    ``standardize_data=False`` X and y are returned as read; the dataset
+    still selects with an intercept (see ``Dataset``).
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        line = next((ln for ln in fh if ln.strip()), None)
-        if line is None:
-            raise ValueError(f"{path}: empty file")
+    with contextlib.ExitStack() as stack:
+        raw = stack.enter_context(open(path, "rb", buffering=0))
+        if not raw.seekable():  # a pipe's bytes are read once, into a file that can seek
+            pipe, raw = raw, stack.enter_context(tempfile.TemporaryFile(buffering=0))
+            shutil.copyfileobj(pipe, raw)
+            raw.seek(0)
+        start = len(codecs.BOM_UTF8) if raw.read(3) == codecs.BOM_UTF8 else 0
+        # newline="" keeps line ends as read, so the lengths sum to the body's offset.
+        with _reader(raw, start, newline="") as fh:
+            for line in fh:
+                start += len(line.encode())
+                if line.strip():
+                    break
+            else:
+                raise ValueError(f"{path}: empty file")
         delim = _sniff_delimiter(line)
         header = _header_names(path, line, delim)
         if response not in header:
             raise ValueError(f"{path}: response column {response!r} not found in header")
-        parts = _body_parts(path)
-        data = _load_numeric(fh, delim) if parts is None else _load_parts(path, parts, delim)
-    if (data is None or data.shape[0] < 3 or data.shape[1] != len(header)
-            or _first_nonfinite(data) is not None):
-        data = _parse_lines(path, header, delim)
+        data = _load_parts(raw, _body_parts(raw, start), delim)
+        if (data is None or data.shape[0] < 3 or data.shape[1] != len(header)
+                or _first_nonfinite(data) is not None):
+            with _reader(raw, start) as fh:
+                data = _parse_lines(path, fh, header, delim)
     ycol = header.index(response)
     keep = [j for j in range(len(header)) if j != ycol]
     # A view of y would keep the whole table alive; with it dropped,
@@ -123,52 +138,36 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
     return standardize(ds) if standardize_data else ds
 
 
-def _body_parts(path) -> Optional[list]:
-    """Byte ranges of the body after the header, one per child parser, or None.
+def _body_parts(raw, start: int) -> list:
+    """Cut points ``[start, c1, ...]`` of the body at byte ``start``, one per usable CPU.
 
-    None keeps the parse in this process: a body under ``SPLIT_BYTES``,
-    fewer than two usable CPUs, no ``os.fork``, or a second thread
-    alive (a forked child gets a copy of every lock, held or not).
-    Each part but the last ends just after a newline, and each is at
-    least about half of ``SPLIT_BYTES``.
+    Just ``[start]``, one process, for a body under ``SPLIT_BYTES``, one
+    usable CPU, no ``os.fork`` or a second thread alive (whose held locks
+    a child would copy).  A later cut follows a "\\n", which ends a line
+    of any ending.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return None
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    size = os.path.getsize(path)
-    if cpus < 2 or size < SPLIT_BYTES:
-        return None
-    with open(path, "rb") as fh:
-        # The header is the first line that is not blank as text, after
-        # the byte-order mark that the text paths' "utf-8-sig" drops.
-        fh.seek(3 if fh.read(3) == codecs.BOM_UTF8 else 0)
-        start = next((fh.tell() for ln in fh if ln.decode("utf-8", "replace").strip()), size)
-        count = min(cpus, 2 * (size - start) // SPLIT_BYTES)
-        if count < 2:
-            return None
-        cuts = [start]
-        for i in range(1, count):
-            fh.seek(start + i * (size - start) // count)
-            fh.readline()
-            cuts.append(max(fh.tell(), cuts[-1]))
-    cuts.append(size)
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    size = os.fstat(raw.fileno()).st_size
+    count = min(cpus, 2 * (size - start) // SPLIT_BYTES)
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return [start]
+    with mmap.mmap(raw.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        # find gives -1, so a cut at 0, where no "\n" is left.
+        ends = {mm.find(b"\n", start + i * (size - start) // count) + 1 for i in range(1, count)}
+    return [start] + sorted(end for end in ends if start < end < size)
 
 
-def _load_parts(path, parts: list, delim: str) -> Optional[np.ndarray]:
-    """The body parsed by one forked child per byte range, or None if a part fails.
+def _load_parts(raw, cuts: list, delim: str) -> Optional[np.ndarray]:
+    """The body parsed one range per cut, or None if a range fails.
 
-    Each child runs ``_load_numeric`` on its part and writes its shape,
-    then its float64 rows, to a pipe. This process parses nothing: once
-    every child has sent its shape it allocates the C-ordered table
-    (the layout ``np.loadtxt`` returns) and reads each part straight
-    into its rows. A fork or a child that fails, a column count that
-    differs, or a short read gives None. Every child is killed, if
-    still running, and reaped before this returns or raises.
+    A forked child parses each range between two cuts and pipes back its
+    shape, then its float64 rows, while this process streams the last
+    range to the end of the file.  A failed fork or child, differing
+    widths or a short read give None.  No child outlives this call.
     """
     children = []  # (pid, read end of its pipe)
     try:
-        for lo, hi in parts:
+        for lo, hi in zip(cuts, cuts[1:]):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -177,28 +176,30 @@ def _load_parts(path, parts: list, delim: str) -> Optional[np.ndarray]:
                 os.close(w)
                 return None
             if pid == 0:
-                _parse_part(path, lo, hi, delim, w)
+                _parse_part(raw.fileno(), lo, hi, delim, w)
             os.close(w)
             # A buffered reader's readinto fills the view until the pipe ends.
             children.append((pid, open(r, "rb")))
-        shapes = []
-        for _, pipe in children:
-            head = bytearray(_SHAPE.size)
-            if pipe.readinto(head) != len(head):
-                return None
-            shapes.append(_SHAPE.unpack(head))
-        widths = {cols for rows, cols in shapes if rows}
-        if len(widths) != 1:
+        with _reader(raw, cuts[-1]) as fh:
+            last = _load_numeric(fh, delim)
+        if last is None or not children:
+            return last
+        heads = [pipe.read(_SHAPE.size) for _, pipe in children]
+        shapes = [_SHAPE.unpack(head) for head in heads if len(head) == _SHAPE.size]
+        widths = {cols for rows, cols in shapes + [last.shape] if rows}
+        if len(shapes) != len(children) or len(widths) != 1:
             return None
-        table = np.empty((sum(rows for rows, _ in shapes), widths.pop()))
-        view = memoryview(table).cast("B")
-        pos = 0
+        # Grown in place: freeing a copy would raise malloc's mmap threshold and RSS peak.
+        own = last.nbytes
+        last.resize((sum(rows for rows, _ in shapes) + len(last), widths.pop()), refcheck=False)
+        view, pos = memoryview(last).cast("B"), 0
+        view[last.nbytes - own:] = view[:own]
         for (_, pipe), (rows, _) in zip(children, shapes):
-            end = pos + rows * table.shape[1] * table.itemsize
+            end = pos + rows * last.strides[0]
             if pipe.readinto(view[pos:end]) != end - pos:
                 return None
             pos = end
-        return table
+        return last
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -208,17 +209,16 @@ def _load_parts(path, parts: list, delim: str) -> Optional[np.ndarray]:
                 os.waitpid(pid, 0)
 
 
-def _parse_part(path, lo: int, hi: int, delim: str, w: int):
-    """In a forked child: parse bytes [lo, hi) of the file and write them to fd w.
+def _parse_part(fd: int, lo: int, hi: int, delim: str, w: int):
+    """In a forked child: parse bytes [lo, hi) of open file ``fd`` and write them to fd w.
 
-    A part numpy rejects is reported by writing nothing. The child
-    leaves through ``os._exit``, so it never returns into the caller's
-    code or runs the parent's exit handlers.
+    A map of the file reads them without moving the offset the parent
+    shares.  A part numpy rejects is reported by writing nothing.  The
+    child leaves through ``os._exit``, never returning into the caller.
     """
     try:
-        with open(path, "rb") as fh:
-            fh.seek(lo)
-            text = io.TextIOWrapper(io.BytesIO(fh.read(hi - lo)), encoding="utf-8")
+        with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as mm:
+            text = io.TextIOWrapper(io.BytesIO(mm[lo:hi]), encoding="utf-8")
         data = _load_numeric(text, delim)
         if data is not None:
             with open(w, "wb") as out:
@@ -228,13 +228,12 @@ def _parse_part(path, lo: int, hi: int, delim: str, w: int):
         os._exit(0)
 
 
-def _parse_lines(path, header: list, delim: str) -> np.ndarray:
-    """The body of a file (its lines after the header), parsed cell by cell with ``float``.
+def _parse_lines(path, fh, header: list, delim: str) -> np.ndarray:
+    """The body read from text reader ``fh``, parsed cell by cell with ``float``.
 
     The fallback of ``ingest``: every error names its row and column.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()][1:]
+    lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if len(lines) < 3:
         raise ValueError(f"{path}: need at least 3 data rows, found {len(lines)}")
     rows = []

@@ -66,7 +66,7 @@ class PenaltySpec:
             if self.family == "msfdr" and self.q >= 0.5:
                 warnings.warn(
                     "msfdr with q >= 0.5 loses its asymptotic optimality guarantees",
-                    stacklevel=2,
+                    stacklevel=3,  # past the generated __init__, to the line building the spec
                 )
         if self.family == "fixed-alpha" and (self.p is None or not 0.0 < self.p < 1.0):
             raise ValueError("fixed-alpha requires p in (0, 1)")

@@ -3,8 +3,8 @@
 numpy reports its array buffers to tracemalloc, so the traced peak
 counts every data-sized array alive at once. ``ingest`` holds at most
 two (the parsed table while X is copied out of it, then X and its
-standardized copy), whether it parses the table itself or reads it
-from forked children; ``standardize`` alone holds the centered copy,
+standardized copy), whether it parses the table alone or shares the
+parse with a forked child; ``standardize`` alone holds the centered copy,
 with no squared columns; ``expand`` holds the expanded pool and its
 standardized copy.
 """
@@ -42,9 +42,9 @@ def _ingest_peak(tmp_path, split_bytes):
 
     with mock.patch.object(dataio, "SPLIT_BYTES", split_bytes), \
          mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
-         mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split:
+         mock.patch.object(os, "fork", wraps=os.fork) as fork:
         ds, peak = _traced_peak(lambda: ingest(path, "Y"))
-    assert split.called == (split_bytes == 1)
+    assert fork.call_count == (split_bytes == 1)
     assert ds.X.shape == (n, m)
     assert peak <= 2.5 * ds.X.nbytes
 
@@ -54,9 +54,10 @@ def test_ingest_peaks_at_two_data_sized_arrays(tmp_path):
 
 
 def test_split_ingest_peaks_at_two_data_sized_arrays(tmp_path):
-    # Two forked children parse the table (whatever the host's CPU
-    # count); the parent allocates the table once and reads the parts
-    # into it, so it peaks as the one-process parse does.
+    # A forked child parses the first half of the table and this process
+    # the second (whatever the host's CPU count); the parent allocates the
+    # table once, reads the child's rows into it and copies its own half
+    # in, so it peaks as the one-process parse does.
     _ingest_peak(tmp_path, split_bytes=1)
 
 

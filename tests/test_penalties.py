@@ -1,6 +1,7 @@
 """Penalty-family algebra checked against independent formulas."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from stepfdr.penalties import (
     step_alpha,
     step_costs,
 )
+from stepfdr.selector import parse_method
 
 STANDALONE = tuple(f for f in FAMILIES if f != "tsfdr")
 
@@ -53,6 +55,15 @@ class TestPenaltySpec:
     def test_large_q_warns(self):
         with pytest.warns(UserWarning, match="q >= 0.5"):
             PenaltySpec("msfdr", q=0.6)
+
+    def test_large_q_warning_names_the_line_that_built_the_spec(self):
+        # Not the __init__ the dataclass generates, which reads as "<string>".
+        with pytest.warns(UserWarning, match="q >= 0.5") as record:
+            PenaltySpec("msfdr", q=0.6)
+        assert [w.filename for w in record] == [__file__]
+        with pytest.warns(UserWarning, match="q >= 0.5") as record:
+            parse_method("msfdr:0.6")
+        assert [os.path.basename(w.filename) for w in record] == ["selector.py"]
 
     def test_constant_validation(self):
         with pytest.raises(ValueError):

@@ -715,11 +715,11 @@ def _dataset_from_lines(path):
     """The line parser's Dataset, after the header checks ``ingest`` makes first."""
     with open(path, encoding="utf-8") as fh:
         line = next(ln for ln in fh if ln.strip())
-    delim = _sniff_delimiter(line)
-    header = _header_names(path, line, delim)
-    if "Y" not in header:
-        raise ValueError(f"{path}: response column 'Y' not found in header")
-    table = _parse_lines(path, header, delim)
+        delim = _sniff_delimiter(line)
+        header = _header_names(path, line, delim)
+        if "Y" not in header:
+            raise ValueError(f"{path}: response column 'Y' not found in header")
+        table = _parse_lines(path, fh, header, delim)
     keep = [j for j, name in enumerate(header) if name != "Y"]
     return Dataset(y=table[:, header.index("Y")], X=table[:, keep],
                    names=tuple(header[j] for j in keep))

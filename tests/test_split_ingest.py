@@ -3,11 +3,14 @@
 The split parse must give the bytes the one-process parse gives, raise
 the line parser's row/column message for any bad cell in any part, fall
 back to one process where forking is unsafe or impossible, and leave no
-child behind on any path. ``SPLIT_BYTES`` is patched small so that small
-tables split, and the usable CPU count is patched so the split is taken
-(and its part count varied) on any host.
+child or descriptor behind on any path. A body cut into k ranges forks
+k - 1 children: this process parses the last range itself.
+``SPLIT_BYTES`` is patched small so that small tables split, and the
+usable CPU count is patched so the split is taken (and its part count
+varied) on any host.
 """
 
+import contextlib
 import os
 import tempfile
 import threading
@@ -28,6 +31,20 @@ ONE_PROCESS = 1 << 62
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _counted_forks():
+    """The mock ``os.fork``, which counts the children, with the cut points ingest used."""
+    fork, body_parts = mock.Mock(wraps=os.fork), dataio._body_parts
+    fork.cuts = []
+
+    def record(raw, start):
+        fork.cuts = body_parts(raw, start)
+        return fork.cuts
+
+    with mock.patch.object(os, "fork", fork), mock.patch.object(dataio, "_body_parts", record):
+        yield fork
 
 
 def _outcome(path, split_bytes, cpus=2):
@@ -85,10 +102,11 @@ def test_split_parse_matches_one_process(data, delim, newline, ncols, nrows, cpu
         body = len(raw) - raw.index(header) - len(header)
         split_bytes = data.draw(st.integers(1, body))
         want = _outcome(path, ONE_PROCESS)
-        with mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as spy:
+        with _counted_forks() as forks:
             got = _outcome(path, split_bytes, cpus)
         assert got == want
-        assert spy.called
+        assert forks.cuts[0] == len(raw) - body
+        assert forks.call_count == len(forks.cuts) - 1 <= cpus - 1
         if breakage is not None:
             assert isinstance(got, str) and "row" in got
     _no_child_left()
@@ -106,7 +124,7 @@ def test_bad_cell_in_the_last_part_names_its_row(tmp_path):
 def test_a_child_that_reports_more_rows_than_it_sends_falls_back(tmp_path):
     path = _table(tmp_path / "t.tsv")
 
-    def short_part(path, lo, hi, delim, w):
+    def short_part(fd, lo, hi, delim, w):
         try:
             os.write(w, dataio._SHAPE.pack(10**6, 5) + b"\0" * 64)
         finally:
@@ -121,10 +139,10 @@ def test_a_child_that_reports_more_rows_than_it_sends_falls_back(tmp_path):
 
 
 def test_children_are_reaped_when_the_parent_raises(tmp_path):
-    # Each part's rows outgrow a pipe's buffer, and the table's view is
-    # taken once both shapes are read: the children are still blocked
-    # writing their rows when the parent raises.
-    path = _table(tmp_path / "t.tsv", rows=2000)
+    # The child's rows outgrow a pipe's buffer, and the table's view is
+    # taken once its shape is read: the child is still blocked writing
+    # its rows when the parent raises.
+    path = _table(tmp_path / "t.tsv", rows=4000)
 
     def failing_view(obj):
         raise RuntimeError("interrupted")
@@ -138,10 +156,9 @@ def test_children_are_reaped_when_the_parent_raises(tmp_path):
 def test_one_process_without_fork(tmp_path, monkeypatch):
     path = _table(tmp_path / "t.tsv")
     want = _outcome(path, ONE_PROCESS)
-    monkeypatch.delattr(os, "fork")
-    with mock.patch.object(dataio, "_load_parts") as split:
-        assert _outcome(path, 1) == want
-    assert not split.called
+    monkeypatch.delattr(os, "fork")  # a fork would raise AttributeError
+    assert _outcome(path, 1) == want
+    _no_child_left()
 
 
 def test_one_process_while_a_second_thread_is_alive(tmp_path):
@@ -151,32 +168,43 @@ def test_one_process_while_a_second_thread_is_alive(tmp_path):
     thread = threading.Thread(target=release.wait, args=(10.0,))
     thread.start()
     try:
-        with mock.patch.object(dataio, "_load_parts") as split:
+        with _counted_forks() as forks:
             assert _outcome(path, 1) == want
     finally:
         release.set()
         thread.join(timeout=10.0)
     assert not thread.is_alive()
-    assert not split.called
-    with mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split:
+    assert forks.call_count == 0
+    with _counted_forks() as forks:
         assert _outcome(path, 1) == want
-    assert split.called
+    assert forks.call_count == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_k_ranges_fork_k_minus_one_children(tmp_path, cpus):
+    # This process parses the last range itself.
+    path = _table(tmp_path / "t.tsv")
+    want = _outcome(path, ONE_PROCESS)
+    with _counted_forks() as forks:
+        assert _outcome(path, 1, cpus) == want
+    assert len(forks.cuts) == cpus
+    assert forks.call_count == cpus - 1
     _no_child_left()
 
 
 def test_carriage_return_lines_are_read_in_one_process(tmp_path):
-    # A file whose lines end in "\r" alone is one line to the binary scan
-    # for the header, so its body is never cut; the text paths read the
-    # table that "\n" line ends give.
+    # A file whose lines end in "\r" alone has no "\n" to cut the body
+    # at; the text paths read the table that "\n" line ends give.
     path = _table(tmp_path / "t.tsv")
     cr = tmp_path / "cr.tsv"
     cr.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
     want = _outcome(path, ONE_PROCESS)
-    with mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split, \
+    with _counted_forks() as forks, \
          mock.patch.object(dataio, "_parse_lines", wraps=dataio._parse_lines) as line_parser:
         assert _outcome(cr, 1) == want
     assert want[1] == (40, 4)
-    assert not split.called
+    assert forks.call_count == 0 and len(forks.cuts) == 1
     assert not line_parser.called
     _no_child_left()
 
@@ -198,13 +226,78 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, delim, response_first, l
     plain.write_text(text)
     marked.write_bytes(b"\xef\xbb\xbf" + (lead + text).encode())
     want = _outcome(plain, ONE_PROCESS)
-    with mock.patch.object(dataio, "_load_parts", wraps=dataio._load_parts) as split, \
+    with _counted_forks() as forks, \
          mock.patch.object(dataio, "_parse_lines", wraps=dataio._parse_lines) as line_parser:
         assert _outcome(marked, split_bytes) == want
     assert want[0] == ("x1", "x2")
-    assert split.called == (split_bytes == 1)
+    assert forks.call_count == (split_bytes == 1)
     assert not line_parser.called
     _no_child_left()
+
+
+@pytest.mark.parametrize("blanks", [0, 2], ids=["header", "blank-lines"])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_every_parse_reads_the_same_table(tmp_path, newline, bom, blanks):
+    # One header rule for all three parsers: the one-process parse, the
+    # split and the line parser, which a cell written "1_000" forces. A
+    # name outside ASCII makes the header's bytes outnumber its characters.
+    table = np.random.default_rng(3).standard_normal((40, 4))
+    table[17, 2] = 1000.0
+    lines = ["x1,Y,größe,x3"] + [",".join("%.17g" % v for v in row) for row in table]
+    want = _outcome(_write_lines(tmp_path / "plain.csv", lines, "\n"), ONE_PROCESS)
+    lines = [""] * blanks + lines
+    path = _write_lines(tmp_path / "t.csv", lines, newline, bom)
+    underscored = list(lines)
+    underscored[blanks + 18] = underscored[blanks + 18].replace(",1000,", ",1_000,")
+    forced = _write_lines(tmp_path / "u.csv", underscored, newline, bom)
+    for source, split_bytes, line_parsed in ((path, ONE_PROCESS, False), (path, 1, False),
+                                             (forced, ONE_PROCESS, True), (forced, 1, True)):
+        with _counted_forks() as forks, \
+             mock.patch.object(dataio, "_parse_lines", wraps=dataio._parse_lines) as line_parser:
+            assert _outcome(source, split_bytes) == want
+        assert line_parser.called == line_parsed
+        assert forks.cuts[0] == len(bom) + len(newline) * (blanks + 1) + len(lines[blanks].encode())
+        forked = split_bytes == 1 and newline != "\r"
+        assert forks.call_count == len(forks.cuts) - 1 == forked
+    assert want[:2] == (("x1", "größe", "x3"), (40, 3))
+    _no_child_left()
+
+
+def _write_lines(path, lines, newline, bom=b""):
+    path.write_bytes(bom + (newline.join(lines) + newline).encode())
+    return path
+
+
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _raising_view(obj):
+    raise RuntimeError("interrupted")
+
+
+@pytest.mark.parametrize("case", ["split", "fallback", "parent-raises"])
+def test_ingest_leaves_no_child_or_descriptor_behind(tmp_path, case):
+    path = _table(tmp_path / "t.tsv", rows=2000)
+    if case == "fallback":  # a bad cell in the forked range
+        lines = path.read_text().splitlines()
+        lines[5] = "oops" + lines[5][lines[5].index("\t"):]
+        path.write_text("\n".join(lines) + "\n")
+    before = _open_descriptors()
+    with _counted_forks() as forks, \
+         mock.patch.object(dataio, "memoryview",
+                           _raising_view if case == "parent-raises" else memoryview, create=True):
+        try:
+            got = _outcome(path, 1)
+        except RuntimeError:
+            got = None
+    assert forks.call_count == 1
+    assert (got is None) == (case == "parent-raises")
+    if case == "fallback":
+        assert got == f"{path}: non-numeric cell at row 5, column 'Y': 'oops'"
+    _no_child_left()
+    assert _open_descriptors() == before
 
 
 def test_the_line_parser_skips_a_byte_order_mark(tmp_path):
