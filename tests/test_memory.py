@@ -55,9 +55,9 @@ def test_ingest_peaks_at_two_data_sized_arrays(tmp_path):
 
 def test_split_ingest_peaks_at_two_data_sized_arrays(tmp_path):
     # A forked child parses the first half of the table and this process
-    # the second (whatever the host's CPU count); the parent allocates the
-    # table once, reads the child's rows into it and copies its own half
-    # in, so it peaks as the one-process parse does.
+    # the second (whatever the host's CPU count); the parent grows its own
+    # half in place into the table and reads the child's rows into it, so
+    # it peaks as the one-process parse does.
     _ingest_peak(tmp_path, split_bytes=1)
 
 

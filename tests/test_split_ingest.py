@@ -138,16 +138,16 @@ def test_a_child_that_reports_more_rows_than_it_sends_falls_back(tmp_path):
     _no_child_left()
 
 
+def _raising_view(obj):
+    raise RuntimeError("interrupted")
+
+
 def test_children_are_reaped_when_the_parent_raises(tmp_path):
     # The child's rows outgrow a pipe's buffer, and the table's view is
     # taken once its shape is read: the child is still blocked writing
     # its rows when the parent raises.
     path = _table(tmp_path / "t.tsv", rows=4000)
-
-    def failing_view(obj):
-        raise RuntimeError("interrupted")
-
-    with mock.patch.object(dataio, "memoryview", failing_view, create=True):
+    with mock.patch.object(dataio, "memoryview", _raising_view, create=True):
         with pytest.raises(RuntimeError, match="interrupted"):
             _outcome(path, 1)
     _no_child_left()
@@ -271,10 +271,6 @@ def _write_lines(path, lines, newline, bom=b""):
 
 def _open_descriptors():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-def _raising_view(obj):
-    raise RuntimeError("interrupted")
 
 
 @pytest.mark.parametrize("case", ["split", "fallback", "parent-raises"])
