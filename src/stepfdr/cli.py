@@ -19,14 +19,21 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 # Both outcome functions stay bound here: bench/tracer.py traces them as cli.*.
-from .campaign import (campaign_grid, pending_cells, read_campaign_file, read_outcome,
-                       read_results, write_outcome)
+from .campaign import (_FLOAT_FMT, campaign_grid, pending_cells, read_campaign_file,
+                       read_outcome, read_results, write_outcome)
 from .dataio import ExpansionSpec, expand, ingest
-from .penalties import penalty_table
+from .penalties import _large_q_warned, penalty_table
 from .selector import msfdr_iterative, parse_method, select
 from .simlab import loss_matrix, q_tables, run_config, worst_k_means
 
-_FLOAT_FMT = "%.17g"
+
+def _report(lines, out: Optional[str] = None) -> int:
+    """Write a command's report lines to stdout, then to its ``--out`` file, if any."""
+    text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
+    if out:
+        Path(out).write_text(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +63,8 @@ def _cmd_select(args) -> int:
                                       include_interactions=not args.no_interactions))
 
     if args.iterative:
-        res = msfdr_iterative(ds, spec.q, sigma2=sigma2)
+        with _large_q_warned():  # parse_method warned for this token
+            res = msfdr_iterative(ds, spec.q, sigma2=sigma2)
     else:
         res = select(ds, spec, rule=rule, sigma2=sigma2)
 
@@ -74,11 +82,7 @@ def _cmd_select(args) -> int:
               for j, coef in zip(res.selected, res.coefficients.tolist())]
     lines.append("k\tpenalized_rss")
     lines += [f"{k}\t{_FLOAT_FMT % t}" for k, t in enumerate(res.trace.tolist())]
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if args.out:
-        Path(args.out).write_text(report)
-    return 0
+    return _report(lines, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +110,7 @@ def _cmd_penalty_table(args) -> int:
     head = f"{spec.label()}\t{table.m}\t"
     out = ["family\tm\tk\talpha_k\tlambda_k\tstep_cost_k"]
     out += [row % (head, k, *cells) for k, cells in enumerate(zip(*cols), 1)]
-    text = "\n".join(out) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text)
-    return 0
+    return _report(out, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,7 @@ def _cmd_summarize(args) -> int:
             best = min(table, key=table.get)
             out.append(f"# best q for {family}: {best:g} " +
                        " ".join(f"q={q:g}:{v:.4g}" for q, v in table.items()))
-    sys.stdout.write("\n".join(out) + "\n")
-    return 0
+    return _report(out)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +195,7 @@ def _cmd_selftest(args) -> int:
     from . import selfcheck
 
     checks = selfcheck.run(instances=args.instances)
-    for label, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {label}")
+    _report([f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks])
     return 0 if all(ok for _, ok in checks) else 1
 
 

@@ -8,9 +8,10 @@ squared normal quantile at half the step constant alpha_k.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,8 @@ DEFAULT_BM_CONSTANT = 2000.0
 # The spec field a method token's level sets; other families take none.
 _LEVEL_FIELDS = {"bh": "q", "msfdr": "q", "tsfdr": "q", "fixed-alpha": "p", "bm": "c_bm"}
 
+_LARGE_Q = "msfdr with q >= 0.5 loses its asymptotic optimality guarantees"
+
 
 class UnsupportedFamilyError(ValueError):
     """Operation not defined for this penalty family."""
@@ -64,10 +67,8 @@ class PenaltySpec:
             if self.q is None or not 0.0 < self.q < 1.0:
                 raise ValueError(f"{self.family} requires q in (0, 1)")
             if self.family == "msfdr" and self.q >= 0.5:
-                warnings.warn(
-                    "msfdr with q >= 0.5 loses its asymptotic optimality guarantees",
-                    stacklevel=3,  # past the generated __init__, to the line building the spec
-                )
+                # stacklevel: past the generated __init__, to the line building the spec
+                warnings.warn(_LARGE_Q, stacklevel=3)
         if self.family == "fixed-alpha" and (self.p is None or not 0.0 < self.p < 1.0):
             raise ValueError("fixed-alpha requires p in (0, 1)")
         if not 0.0 < self.c_bm < math.inf:
@@ -78,6 +79,15 @@ class PenaltySpec:
         if name is None or (name == "c_bm" and self.c_bm == DEFAULT_BM_CONSTANT):
             return self.family
         return f"{self.family}:{_level(getattr(self, name))}"
+
+
+@contextlib.contextmanager
+def _large_q_warned():
+    """Build specs without the msfdr q >= 0.5 warning, for a level whose
+    method token already warned once; every check still runs."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=_LARGE_Q, category=UserWarning)
+        yield
 
 
 def _level(value: float) -> str:
@@ -169,12 +179,7 @@ class PenaltyTable:
     k_max: int
     alpha: np.ndarray  # nan where the family has no step constants
     lam: np.ndarray
-    cost: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        ks = np.arange(1, self.k_max + 1)
-        klam = ks * self.lam
-        object.__setattr__(self, "cost", np.diff(np.concatenate([[0.0], klam])))
+    cost: np.ndarray
 
 
 def penalty_table(spec: PenaltySpec, m: int, k_max: Optional[int] = None) -> PenaltyTable:
@@ -198,4 +203,7 @@ def penalty_table(spec: PenaltySpec, m: int, k_max: Optional[int] = None) -> Pen
     bounds = np.zeros(2 * k_max, dtype=np.intp)
     bounds[1::2] = ks + 1
     lam = np.add.reduceat(np.concatenate([[0.0], costs, [0.0]]), bounds)[::2] / ks
-    return PenaltyTable(spec=spec, m=m, k_max=k_max, alpha=alpha, lam=lam)
+    # The cost column stays the differences of k*lambda_k, not ``costs``:
+    # bench/reference.json pins that rounding (ROADMAP.md, item 7).
+    cost = np.diff(np.concatenate([[0.0], ks * lam]))
+    return PenaltyTable(spec=spec, m=m, k_max=k_max, alpha=alpha, lam=lam, cost=cost)

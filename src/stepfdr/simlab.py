@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .penalties import PenaltySpec
+from .penalties import PenaltySpec, _large_q_warned
 from .quantiles import RandomSource
 from .regress import cross_products, forward_sweep
 from .selector import choose_size, method_label, parse_method
@@ -311,9 +311,10 @@ def q_tables(worst: Dict[str, float]) -> Dict[str, Dict[float, float]]:
     each family's default-rule labels (an "@rule" label is another method)."""
     families = ("bh", "tsfdr", "msfdr")
     levels = {}
-    for label, value in worst.items():
-        spec, rule = parse_method(label)
-        if spec.family in families and rule is None:
-            levels[spec.family, spec.q] = value
+    with _large_q_warned():  # each label warned when its run was asked for
+        for label, value in worst.items():
+            spec, rule = parse_method(label)
+            if spec.family in families and rule is None:
+                levels[spec.family, spec.q] = value
     return {family: {q: v for (f, q), v in sorted(levels.items()) if f == family}
             for family in families}

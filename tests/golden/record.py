@@ -44,9 +44,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import logging
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -97,12 +99,24 @@ NORTH_STAR_SELECT = f"select {NORTH_STAR_METHOD}"
 
 
 def run_cli(argv) -> str:
-    """stdout of one ``stepfdr`` command, which must succeed."""
+    """stdout of one ``stepfdr`` command, which must succeed and write
+    nothing to stderr. Its warnings and ``stepfdr`` log records count as
+    stderr output, also under pytest, which would catch them first."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = cli.main(argv)
+    logger, handler = logging.getLogger("stepfdr"), logging.StreamHandler(err)
+    logger.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            status = cli.main(argv)
+    finally:
+        logger.removeHandler(handler)
+    errors = err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
     if status != 0:
-        raise RuntimeError(f"stepfdr {' '.join(argv)} failed: {err.getvalue().strip()}")
+        raise RuntimeError(f"stepfdr {' '.join(argv)} failed: {errors.strip()}")
+    if errors:
+        raise RuntimeError(f"stepfdr {' '.join(argv)} wrote to stderr: {errors.strip()}")
     return out.getvalue()
 
 

@@ -604,6 +604,21 @@ class TestCli:
         assert rc == 0
         assert "msfdr:0.05" in text and "aic" in text
 
+    def test_summarize_of_a_large_q_campaign_writes_nothing_to_stderr(self, capsys, tmp_path):
+        # simulate warns once when it parses msfdr:0.6; summarize only reads
+        # the labels back, and used to warn again from parse_method.
+        cfgfile = _write(tmp_path, "campaign.txt",
+                         "seed = 0\nreplications = 5\nm = 8\nrho = 0\nbeta_type = 1\n"
+                         "p_index = 2,4\nmethods = msfdr:0.05,msfdr:0.6,aic\n")
+        out_dir = tmp_path / "out"
+        with pytest.warns(UserWarning, match="q >= 0.5"):
+            assert main(["simulate", "--config", str(cfgfile), "--out", str(out_dir),
+                         "--workers", "1"]) == 0
+        capsys.readouterr()
+        done = _cli_in_own_process("summarize", "--in", str(out_dir))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "# best q for msfdr: " in done.stdout and " q=0.6:" in done.stdout
+
     def test_simulate_reruns_a_cell_from_another_campaign(self, capsys, tmp_path):
         one_cell = "m = 8\nrho = 0\nbeta_type = 1\np_index = 1\n"
         first = _write(tmp_path, "a.txt",
@@ -818,6 +833,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == ("error: --iterative takes no stopping rule, "
                                 "got 'msfdr:0.05@global-min'\n")
+
+    def test_select_iterative_warns_once_of_a_large_q(self):
+        # msfdr_iterative rebuilds the parsed spec, which used to warn a
+        # second time, from its own line.
+        done = _cli_in_own_process("select", "--data", diabetes_path(), "--response", "Y",
+                                   "--method", "msfdr:0.6", "--iterative")
+        assert done.returncode == 0
+        # One warning: its "file:line: message" line and its source line,
+        # the spec parse_method builds.
+        where, source = done.stderr.splitlines()
+        assert where.endswith(": UserWarning: msfdr with q >= 0.5 loses its asymptotic "
+                              "optimality guarantees")
+        assert source.strip() == "spec = PenaltySpec(fam, **levels)"
 
     @pytest.mark.parametrize("argv", [
         ["select", "--data", diabetes_path(), "--response", "Y", "--method", "msfdr", "--q", "0.05"],

@@ -11,6 +11,7 @@ import importlib.util
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stepfdr.campaign import campaign_grid, read_outcome
@@ -76,6 +77,21 @@ def test_check_names_the_first_file_and_line_that_differ():
         "b.txt, line 2:\n  committed:  ''\n  recomputed: 'y\\n'")
     assert record.first_difference(want, {"a.txt": want["a.txt"]}) == (
         "b.txt: committed, but not in the recomputed record")
+
+
+def test_a_request_that_warns_or_logs_is_not_recorded(tmp_path):
+    with pytest.raises(RuntimeError, match="^stepfdr penalty-table --method msfdr:0.6 --m 5 "
+                                           "wrote to stderr: .*UserWarning: msfdr with q >= 0.5"):
+        record.run_cli(["penalty-table", "--method", "msfdr:0.6", "--m", "5"])
+    # A response in the span of the pool: sigma2's zero-residual log line.
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((20, 3))
+    data = tmp_path / "d.tsv"
+    data.write_text("a\tb\tc\tY\n" + "".join(
+        f"{a!r}\t{b!r}\t{c!r}\t{2 * a - b!r}\n" for a, b, c in X.tolist()))
+    argv = ["select", "--data", str(data), "--response", "Y", "--method", "aic"]
+    with pytest.raises(RuntimeError, match="wrote to stderr: .*numerically zero"):
+        record.run_cli(argv)
 
 
 def test_record_holds_every_request():

@@ -18,9 +18,10 @@ tables alike; the normal-equation ``estimate_sigma2`` against the
 SVD least-squares fit, on collinear, high-R^2 and raw pools; the rank
 floors of the sweep and of ``estimate_sigma2`` on raw pools whose
 columns are in units up to 10^12 apart; the forward path, sigma2 and
-selection of a raw dataset against those of its standardized copy; the
-column-blocked ``standardize`` against the whole-matrix formula, bit for
-bit; ``standardize`` on constant columns of any finite value;
+selection of a raw dataset against those of its standardized copy;
+``standardize`` against the one-pass ``einsum`` formula bit for bit, and
+against the whole-matrix formula within 2*n*eps relative; ``standardize``
+on constant columns of any finite value;
 ``minimax_summary`` against a per-label sort and ``np.mean``, and the
 worst-k means of column copies of one loss matrix against
 ``minimax_summary`` of those cells, bit for bit; and forward selection
