@@ -11,7 +11,8 @@ As a script it runs numpy with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``, as the benchmark does), so neither the
 record nor ``--check`` depends on the host's default thread count.
 
-It writes, all through ``stepfdr.cli.main``:
+It writes, all through ``stepfdr.cli.main``, whose every request must
+succeed and write nothing to stderr (no warning, no log line):
 
 - ``select.txt``: the diabetes ``select`` reports, main and quad pools,
   for each family's default token, one ``@rule`` token, ``--iterative``

@@ -606,7 +606,7 @@ class TestCli:
 
     def test_summarize_of_a_large_q_campaign_writes_nothing_to_stderr(self, capsys, tmp_path):
         # simulate warns once when it parses msfdr:0.6; summarize only reads
-        # the labels back, and used to warn again from parse_method.
+        # the labels back, so it does not warn again.
         cfgfile = _write(tmp_path, "campaign.txt",
                          "seed = 0\nreplications = 5\nm = 8\nrho = 0\nbeta_type = 1\n"
                          "p_index = 2,4\nmethods = msfdr:0.05,msfdr:0.6,aic\n")
@@ -835,8 +835,7 @@ class TestCli:
                                 "got 'msfdr:0.05@global-min'\n")
 
     def test_select_iterative_warns_once_of_a_large_q(self):
-        # msfdr_iterative rebuilds the parsed spec, which used to warn a
-        # second time, from its own line.
+        # msfdr_iterative builds the parsed spec again, without a second warning.
         done = _cli_in_own_process("select", "--data", diabetes_path(), "--response", "Y",
                                    "--method", "msfdr:0.6", "--iterative")
         assert done.returncode == 0

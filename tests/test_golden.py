@@ -89,9 +89,8 @@ def test_a_request_that_warns_or_logs_is_not_recorded(tmp_path):
     data = tmp_path / "d.tsv"
     data.write_text("a\tb\tc\tY\n" + "".join(
         f"{a!r}\t{b!r}\t{c!r}\t{2 * a - b!r}\n" for a, b, c in X.tolist()))
-    argv = ["select", "--data", str(data), "--response", "Y", "--method", "aic"]
     with pytest.raises(RuntimeError, match="wrote to stderr: .*numerically zero"):
-        record.run_cli(argv)
+        record.run_cli(["select", "--data", str(data), "--response", "Y", "--method", "aic"])
 
 
 def test_record_holds_every_request():
