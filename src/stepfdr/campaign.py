@@ -77,8 +77,13 @@ def _config_value(name: str, text: str):
         return text == "True"
     if kind not in (int, float) and text == "auto":
         return "auto"
+    return _number(name, int if kind is int else float, text)
+
+
+def _number(name: str, kind: type, text: str):
+    """``text`` as ``kind``, int or float; a malformed value is reported with the line's name."""
     try:
-        return int(text) if kind is int else float(text)
+        return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"{name}: {text!r} is not {what}") from None
@@ -168,14 +173,15 @@ def read_outcome(path: Path) -> ConfigOutcome:
             meta[name] = value
         elif ln.strip():
             raise ValueError(f"{path}: line {lineno} is not a '# name<TAB>value' line")
-    missing = [name for name in (*_CONFIG_TYPES, "oracle_mspe") if name not in meta]
+    missing = [name for name in (*_CONFIG_TYPES, "oracle_mspe", "dominance_violations")
+               if name not in meta]
     if missing:
         raise ValueError(f"{path}: result file lacks {', '.join(missing)}")
     oracle_text = meta["oracle_mspe"]
     try:
         config = SimConfig(**{name: _config_value(name, meta[name]) for name in _CONFIG_TYPES})
-        oracle = float(oracle_text)
-        violations = int(meta.get("dominance_violations") or 0)
+        oracle = _number("oracle_mspe", float, oracle_text)
+        violations = _number("dominance_violations", int, meta["dominance_violations"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     methods = []

@@ -66,9 +66,8 @@ class PenaltySpec:
         if self.family in ("bh", "msfdr", "tsfdr"):
             if self.q is None or not 0.0 < self.q < 1.0:
                 raise ValueError(f"{self.family} requires q in (0, 1)")
-            if self.family == "msfdr" and self.q >= 0.5:
-                # stacklevel: past the generated __init__, to the line building the spec
-                warnings.warn(_LARGE_Q, stacklevel=3)
+            # stacklevel: past the generated __init__, to the line building the spec
+            _warn_large_q(self, stacklevel=3)
         if self.family == "fixed-alpha" and (self.p is None or not 0.0 < self.p < 1.0):
             raise ValueError("fixed-alpha requires p in (0, 1)")
         if not 0.0 < self.c_bm < math.inf:
@@ -79,6 +78,12 @@ class PenaltySpec:
         if name is None or (name == "c_bm" and self.c_bm == DEFAULT_BM_CONSTANT):
             return self.family
         return f"{self.family}:{_level(getattr(self, name))}"
+
+
+def _warn_large_q(spec: PenaltySpec, stacklevel: int) -> None:
+    """Warn of an msfdr spec with q >= 0.5, naming the line ``stacklevel`` frames up."""
+    if spec.family == "msfdr" and spec.q >= 0.5:
+        warnings.warn(_LARGE_Q, stacklevel=stacklevel + 1)
 
 
 @contextlib.contextmanager

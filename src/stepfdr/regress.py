@@ -39,19 +39,12 @@ class DegenerateColumnError(ValueError):
 
 
 def _first_nonfinite(data: np.ndarray):
-    """(row, column) of the first non-finite cell of a table, or None.
-
-    A row sum is non-finite when a cell is, or when the sum overflows;
-    row sums keep the check from adding a matrix-sized temporary, and
-    only the rows they flag are checked cell by cell.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = data.sum(axis=1)
-    for row in np.flatnonzero(~np.isfinite(sums)):
-        bad = np.flatnonzero(~np.isfinite(data[row]))
-        if bad.size:
-            return int(row), int(bad[0])
-    return None
+    """(row, column) of the first non-finite cell of a table in row-major order, or None."""
+    finite = np.isfinite(data)
+    if finite.all():
+        return None
+    row, col = np.argwhere(~finite)[0]
+    return int(row), int(col)
 
 
 def _check_shapes(y: np.ndarray, X: np.ndarray, names) -> None:
@@ -181,11 +174,10 @@ def standardize(dataset: Dataset) -> Dataset:
     # An overflowing column that is not constant would be scaled to zeros,
     # and one holding an infinite cell (a product that overflowed in
     # ``expand``) to nans.
-    if not math.isfinite(lengths.sum()):
-        for j in np.flatnonzero(~np.isfinite(lengths)):
-            if not math.isfinite(X[0, j]) or (X[:, j] != X[0, j]).any():
-                raise ValueError(f"column {dataset.names[j]!r} is too large to standardize: "
-                                 "its squared length overflows")
+    for j in np.flatnonzero(~np.isfinite(lengths)):
+        if not math.isfinite(X[0, j]) or (X[:, j] != X[0, j]).any():
+            raise ValueError(f"column {dataset.names[j]!r} is too large to standardize: "
+                             "its squared length overflows")
     bad = np.flatnonzero(constant)
     if bad.size:
         raise DegenerateColumnError(f"column {dataset.names[bad[0]]!r} is constant and "
@@ -293,7 +285,7 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
     ``least_squares`` fits the pool's columns by SVD instead and a
     logged warning gives the smallest ratio (0 for a dead column); on a
     rank-deficient pool only the ``LinAlgError`` is raised, naming the
-    columns at fault. An RSS_full of at most 1e-12 of RSS_0 is logged too.
+    columns at fault. An RSS_full of at most RANK_RTOL of RSS_0 is logged too.
     """
     dof = dataset.n - dataset.m - 1
     if dof <= 0:
@@ -324,7 +316,7 @@ def estimate_sigma2(dataset: Dataset, pool: Optional[Pool] = None) -> float:
             "column's squared norm = %.3g <= %g); fitting sigma2 by SVD least squares",
             ratio, RANK_RTOL,
         )
-    if rss_full <= 1e-12 * float(y @ y):  # RSS_0, around the intercept: unit-free
+    if rss_full <= RANK_RTOL * float(y @ y):  # RSS_0, around the intercept: unit-free
         log.warning("full-model residual is numerically zero; the variance estimate is "
                     "degenerate (response lies in the span of the candidates)")
     return rss_full / dof

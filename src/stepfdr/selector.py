@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .penalties import _LEVEL_FIELDS, PenaltySpec, step_costs
+from .penalties import _LEVEL_FIELDS, PenaltySpec, _large_q_warned, _warn_large_q, step_costs
 from .regress import Dataset, ForwardPath, forward_path, least_squares
 
 __all__ = [
@@ -215,7 +215,9 @@ def msfdr_iterative(
     stops before the first entry k with p_k > alpha_k, where the default
     step-down rule stops too.  ``sigma2`` and ``path`` are as in ``select``.
     """
-    spec = PenaltySpec("msfdr", q=q)
+    with _large_q_warned():  # warned next, from the caller's line
+        spec = PenaltySpec("msfdr", q=q)
+    _warn_large_q(spec, stacklevel=2)
     path = _path(dataset, sigma2, path)
     trace, _, costs = choose_size(path.rss, path.sigma2, spec, dataset.m, default_rule(spec))
     lowest = np.minimum.accumulate(path.tsq)

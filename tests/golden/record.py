@@ -6,7 +6,8 @@ Run from the repository root:
 
 With ``--check`` it writes nothing: it recomputes the record, compares
 it byte for byte with the committed files, and exits 1 naming the first
-file and line that differ (0 when every file matches).
+file and line that differ and, for the first numeric cell that differs,
+both values and their relative difference (0 when every file matches).
 As a script it runs numpy with one BLAS thread
 (``OPENBLAS_NUM_THREADS=1``, as the benchmark does), so neither the
 record nor ``--check`` depends on the host's default thread count.
@@ -46,6 +47,7 @@ import argparse
 import contextlib
 import io
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -232,6 +234,25 @@ def first_difference(want: dict, got: dict) -> Optional[str]:
     return None
 
 
+def first_moved_number(want: dict, got: dict) -> Optional[str]:
+    """The first cell whose number differs between the files ``got`` and
+    ``want``, by file, line and whitespace-separated cell: both values and
+    their difference relative to the committed one; None if no number does."""
+    for name in sorted(want.keys() & got.keys()):
+        lines = zip(want[name].splitlines(), got[name].splitlines())
+        for line, (want_line, got_line) in enumerate(lines, start=1):
+            for w, g in zip(want_line.split(), got_line.split()):
+                try:
+                    a, b = float(w), float(g)
+                except ValueError:
+                    continue
+                if w != g:
+                    rel = 0.0 if a == b else abs(b - a) / abs(a) if a else math.inf
+                    return (f"{name}, line {line}: {w.decode()} -> {g.decode()} "
+                            f"(relative difference {rel:.3g})")
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -240,9 +261,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         files = recompute(Path(work))
     if args.check:
-        where = first_difference(committed(files), files)
+        want = committed(files)
+        where = first_difference(want, files)
         if where is not None:
             print(f"record differs: {where}", file=sys.stderr)
+            moved = first_moved_number(want, files)
+            if moved is not None:
+                print(f"first number that moved: {moved}", file=sys.stderr)
             return 1
         print(f"record matches: {len(files)} files")
         return 0

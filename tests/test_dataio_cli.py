@@ -362,6 +362,23 @@ class TestOutcomeRoundTrip:
             read_outcome(path)
         assert str(info.value) == f"{path}: replications: '5.0' is not an integer"
 
+    @pytest.mark.parametrize("line, message", [
+        (None, "result file lacks dominance_violations"),
+        ("# dominance_violations\t", "dominance_violations: '' is not an integer"),
+        ("# dominance_violations\tx", "dominance_violations: 'x' is not an integer"),
+    ], ids=["missing", "empty", "malformed"])
+    def test_dominance_violations_line_is_required_and_an_integer(self, tmp_path, line, message):
+        cfg = SimConfig(m=6, rho=0.0, beta_type=1, p_index=2, replications=5)
+        path = write_outcome(ConfigOutcome(cfg, 0.1, (MethodOutcome("aic", 1.5, 2.0, 0.25),)),
+                             tmp_path)
+        lines = path.read_text().splitlines()
+        at = lines.index("# dominance_violations\t0")
+        lines[at:at + 1] = [line] if line else []
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_outcome(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_a_bool_field_round_trips_and_rejects_other_text(self):
         # SimConfig has no bool field yet; the codec is checked on a patched one.
         with mock.patch.dict(campaign._CONFIG_TYPES, {"redraw": bool}):

@@ -79,6 +79,21 @@ def test_check_names_the_first_file_and_line_that_differ():
         "b.txt: committed, but not in the recomputed record")
 
 
+def test_check_says_how_far_the_first_number_moved():
+    want = {"a.txt": b"# k\t3\tmsfdr\n2.5\t0\n", "b.txt": b"x\t1e-3\n"}
+    assert record.first_moved_number(want, dict(want)) is None
+    # A label that differs is passed over; the number after it is reported.
+    got = {**want, "a.txt": b"# k\t3\tbh\n2.5\t0.25\n", "b.txt": b"x\t0.001\n"}
+    assert record.first_moved_number(want, got) == (
+        "a.txt, line 2: 0 -> 0.25 (relative difference inf)")
+    assert record.first_moved_number(want, {**want, "b.txt": b"x\t1.5e-3\n"}) == (
+        "b.txt, line 1: 1e-3 -> 1.5e-3 (relative difference 0.5)")
+    # The same value written otherwise still differs byte for byte.
+    assert record.first_moved_number({"b.txt": want["b.txt"]}, {"b.txt": b"x\t0.001\n"}) == (
+        "b.txt, line 1: 1e-3 -> 0.001 (relative difference 0)")
+    assert record.first_moved_number(want, {**want, "b.txt": b"y\t1e-3\n"}) is None
+
+
 def test_a_request_that_warns_or_logs_is_not_recorded(tmp_path):
     with pytest.raises(RuntimeError, match="^stepfdr penalty-table --method msfdr:0.6 --m 5 "
                                            "wrote to stderr: .*UserWarning: msfdr with q >= 0.5"):

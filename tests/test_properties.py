@@ -21,7 +21,9 @@ columns are in units up to 10^12 apart; the forward path, sigma2 and
 selection of a raw dataset against those of its standardized copy;
 ``standardize`` against the one-pass ``einsum`` formula bit for bit, and
 against the whole-matrix formula within 2*n*eps relative; ``standardize``
-on constant columns of any finite value;
+on constant columns of any finite value; the non-finite scan against a
+row-major scan cell by cell, on C- and F-ordered tables whose row sums
+overflow;
 ``minimax_summary`` against a per-label sort and ``np.mean``, and the
 worst-k means of column copies of one loss matrix against
 ``minimax_summary`` of those cells, bit for bit; and forward selection
@@ -422,6 +424,23 @@ def test_constant_columns_always_raise(seed, n, value, order, data):
     with np.errstate(over="ignore"), pytest.raises(
             DegenerateColumnError, match=f"column 'x{j}' is constant"):
         standardize(Dataset(y=y, X=X, names=("x0", "x1", "x2")))
+
+
+# Rows of +-1.5e308 cells are finite, but their sums overflow.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), m=st.integers(1, 20),
+       order=st.sampled_from("CF"), data=st.data())
+def test_first_nonfinite_is_the_first_bad_cell_in_row_major_order(seed, n, m, order, data):
+    rng = np.random.default_rng(seed)
+    X = np.array(rng.standard_normal((n, m)), order=order)
+    huge = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    X[huge] = 1.5e308 * rng.choice([-1.0, 1.0], size=(len(huge), m))
+    assert regress._first_nonfinite(X) is None
+    for _ in range(data.draw(st.integers(1, 4))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        X[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    first = next((i, j) for i in range(n) for j in range(m) if not np.isfinite(X[i, j]))
+    assert regress._first_nonfinite(X) == first
 
 
 # The three AS241 regions: central |p - 0.5| <= 0.425, intermediate down

@@ -1,5 +1,6 @@
 """Stopping rules and selection plumbing on constructed paths."""
 
+import inspect
 import re
 from unittest import mock
 
@@ -151,6 +152,13 @@ class TestMsfdrIterative:
         assert costs.call_count == 1
         assert res.k_selected == select(diabetes_main, PenaltySpec("msfdr", q=0.05),
                                         path=path).k_selected
+
+    def test_large_q_warns_once_from_the_callers_line(self, diabetes_main):
+        path = forward_path(diabetes_main)
+        with pytest.warns(UserWarning, match="q >= 0.5") as record:
+            line = inspect.currentframe().f_lineno + 1
+            msfdr_iterative(diabetes_main, 0.6, path=path)
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
     def test_a_path_that_stops_before_the_pool_ends(self):
         # Three copies of one column: the path enters it once and stops at
