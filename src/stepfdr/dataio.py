@@ -71,9 +71,9 @@ def _load_numeric(fh, delim: str) -> Optional[np.ndarray]:
 
 # Body size (bytes after the header) from which ingest splits its parse.
 # On a 2-CPU Xeon VM (numpy 2.4.6, 51-column tables, one BLAS thread) the
-# parent and one forked child, a range each, lost to or tied one
-# np.loadtxt at 1.0-1.25 MB and won from 1.5 MB in five of six sweeps.
-SPLIT_BYTES = 3 << 19
+# parent and one forked child, a range each, tied one np.loadtxt at 0.75 MB
+# and won from 0.875 MB, at 1.0 MB in nine of ten sweeps.
+SPLIT_BYTES = 1 << 20
 
 _SHAPE = struct.Struct("<qq")
 
