@@ -41,17 +41,14 @@ class DegenerateColumnError(ValueError):
 def _first_nonfinite(data: np.ndarray):
     """(row, column) of the first non-finite cell of a table in row-major order, or None.
 
-    Blocks of at most 2^16 cells keep each mask under glibc's mmap
-    threshold: freeing a larger, mapped mask raises the threshold, which
-    took the wide benchmark's peak RSS from 58.7 to 66.0 MB.
+    A table's min and max are finite exactly when all its cells are, and
+    take no temporary: an ``np.isfinite`` mask of the wide benchmark's
+    table took its peak RSS from 58.7 to 66.0 MB.
     """
-    rows = max(1, (1 << 16) // data.shape[1])
-    for lo in range(0, len(data), rows):
-        finite = np.isfinite(data[lo:lo + rows])
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            return lo + int(row), int(col)
-    return None
+    if math.isfinite(data.min()) and math.isfinite(data.max()):
+        return None
+    row, col = np.argwhere(~np.isfinite(data))[0]
+    return int(row), int(col)
 
 
 def _check_shapes(y: np.ndarray, X: np.ndarray, names) -> None:
