@@ -53,10 +53,10 @@ def _header_names(path, line: str, delim: str) -> list:
     return header
 
 
-def _reader(raw, pos: int, newline=None):
+def _reader(raw, pos: int, newline=None, errors="strict"):
     """A text reader of ``raw``'s file from byte ``pos`` on; closing it leaves the file open."""
     raw.seek(pos)
-    return open(raw.fileno(), encoding="utf-8", newline=newline, closefd=False)
+    return open(raw.fileno(), encoding="utf-8", errors=errors, newline=newline, closefd=False)
 
 
 def _load_numeric(fh, delim: str) -> Optional[np.ndarray]:
@@ -107,14 +107,20 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
             shutil.copyfileobj(pipe, raw)
             raw.seek(0)
         start = len(codecs.BOM_UTF8) if raw.read(3) == codecs.BOM_UTF8 else 0
-        # newline="" keeps line ends as read, so the lengths sum to the body's offset.
-        with _reader(raw, start, newline="") as fh:
+        # newline="" keeps line ends as read, so the lengths sum to the body's
+        # offset.  The reader decodes past the header, so a byte that is not
+        # UTF-8 is kept as a surrogate, and only one in the header is rejected.
+        with _reader(raw, start, newline="", errors="surrogateescape") as fh:
             for line in fh:
-                start += len(line.encode())
+                start += len(line.encode(errors="surrogateescape"))
                 if line.strip():
                     break
             else:
                 raise ValueError(f"{path}: empty file")
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: the header is not UTF-8 text") from None
         delim = _sniff_delimiter(line)
         header = _header_names(path, line, delim)
         if response not in header:
@@ -122,7 +128,8 @@ def ingest(path, response: str, standardize_data: bool = True) -> Dataset:
         data = _load_parts(raw, _body_parts(raw, start), delim)
         if (data is None or data.shape[0] < 3 or data.shape[1] != len(header)
                 or _first_nonfinite(data) is not None):
-            with _reader(raw, start) as fh:
+            # A byte that is not UTF-8 reads as its escape, a non-numeric cell.
+            with _reader(raw, start, errors="backslashreplace") as fh:
                 data = _parse_lines(path, fh, header, delim)
     ycol = header.index(response)
     keep = [j for j in range(len(header)) if j != ycol]
@@ -163,10 +170,13 @@ def _load_parts(raw, cuts: list, delim: str) -> Optional[np.ndarray]:
 
     A forked child parses each range between two cuts and pipes back its
     shape, then its float64 rows, while this process streams the last
-    range to the end of the file.  A failed fork or child, differing
-    widths or a short read give None.  No child outlives this call.
+    range to the end of the file.  Once a fork fails, this process
+    parses from that range's cut on instead; the children already forked
+    keep their ranges.  A failed child, differing widths or a short read
+    give None.  No child outlives this call.
     """
     children = []  # (pid, read end of its pipe)
+    rest = cuts[-1]  # where this process's own range starts
     try:
         for lo, hi in zip(cuts, cuts[1:]):
             r, w = os.pipe()
@@ -175,13 +185,14 @@ def _load_parts(raw, cuts: list, delim: str) -> Optional[np.ndarray]:
             except OSError:
                 os.close(r)
                 os.close(w)
-                return None
+                rest = lo
+                break
             if pid == 0:
                 _parse_part(raw.fileno(), lo, hi, delim, w)
             os.close(w)
             # A buffered reader's readinto fills the view until the pipe ends.
             children.append((pid, open(r, "rb")))
-        with _reader(raw, cuts[-1]) as fh:
+        with _reader(raw, rest) as fh:
             last = _load_numeric(fh, delim)
         if last is None or not children:
             return last

@@ -36,7 +36,7 @@ FAMILIES = ("bh", "msfdr", "tsfdr", "fixed-alpha", "aic", "dj", "fs", "tk", "bm"
 DEFAULT_BM_CONSTANT = 2000.0
 
 
-# The spec field a method token's level sets; other families take none.
+# The spec field a family's level sets (a q or p level lies in (0, 1)); other families take none.
 _LEVEL_FIELDS = {"bh": "q", "msfdr": "q", "tsfdr": "q", "fixed-alpha": "p", "bm": "c_bm"}
 
 _LARGE_Q = "msfdr with q >= 0.5 loses its asymptotic optimality guarantees"
@@ -63,13 +63,11 @@ class PenaltySpec:
         if self.family not in FAMILIES:
             raise UnsupportedFamilyError(f"unknown penalty family {self.family!r}; "
                                          f"known families: {', '.join(FAMILIES)}")
-        if self.family in ("bh", "msfdr", "tsfdr"):
-            if self.q is None or not 0.0 < self.q < 1.0:
-                raise ValueError(f"{self.family} requires q in (0, 1)")
-            # stacklevel: past the generated __init__, to the line building the spec
-            _warn_large_q(self, stacklevel=3)
-        if self.family == "fixed-alpha" and (self.p is None or not 0.0 < self.p < 1.0):
-            raise ValueError("fixed-alpha requires p in (0, 1)")
+        level = _LEVEL_FIELDS.get(self.family)
+        if level in ("q", "p") and not 0.0 < (getattr(self, level) or 0.0) < 1.0:
+            raise ValueError(f"{self.family} requires {level} in (0, 1)")
+        # stacklevel: past the generated __init__, to the line building the spec
+        _warn_large_q(self, stacklevel=3)
         if not 0.0 < self.c_bm < math.inf:
             raise ValueError("c_bm must be positive and finite")
 
@@ -105,11 +103,14 @@ def step_alpha(spec: PenaltySpec, i: int, m: int) -> float:
     """Step constant alpha_i for the FDR-type families."""
     if not 1 <= i <= m:
         raise ValueError(f"step index must lie in [1, {m}], got {i}")
-    return float(_alphas(spec, m, i)[i - 1])
+    alphas = _alphas(spec, m, i)
+    if alphas is None:
+        raise UnsupportedFamilyError(f"step constants are not defined for family {spec.family!r}")
+    return float(alphas[i - 1])
 
 
-def _alphas(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
-    """Step constants alpha_1..alpha_{k_max}.
+def _alphas(spec: PenaltySpec, m: int, k_max: int) -> Optional[np.ndarray]:
+    """Step constants alpha_1..alpha_{k_max}, or None for a family without them.
 
     BH constants run past k = m (up to just below 1): the two-stage
     procedure's second stage applies them over the whole path with the
@@ -122,9 +123,7 @@ def _alphas(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
         return k * spec.q / (m + 1 - k * (1.0 - spec.q))
     if spec.family == "fixed-alpha":
         return np.full(k_max, spec.p)
-    raise UnsupportedFamilyError(
-        f"step constants are not defined for family {spec.family!r}"
-    )
+    return None
 
 
 def step_costs(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
@@ -140,8 +139,8 @@ def step_costs(spec: PenaltySpec, m: int, k_max: int) -> np.ndarray:
         raise ValueError(f"k_max must lie in [1, {m}], got {k_max}")
     fam = spec.family
     k = np.arange(1.0, k_max + 1)
-    if fam in ("bh", "msfdr", "fixed-alpha"):
-        alphas = _alphas(spec, m, k_max)
+    alphas = _alphas(spec, m, k_max)
+    if alphas is not None:
         upper = 1.0 - alphas / 2.0
         if upper.max() >= 1.0:
             first = int(np.argmax(upper >= 1.0))
@@ -192,9 +191,8 @@ def penalty_table(spec: PenaltySpec, m: int, k_max: Optional[int] = None) -> Pen
         k_max = m
     if not 1 <= k_max <= m:
         raise ValueError(f"k_max must lie in [1, {m}]")
-    if spec.family in ("bh", "msfdr", "fixed-alpha"):
-        alpha = _alphas(spec, m, k_max)
-    else:
+    alpha = _alphas(spec, m, k_max)
+    if alpha is None:
         alpha = np.full(k_max, np.nan)
     # lambda_k is the mean of each prefix, bit for bit as .mean() takes it:
     # 0.0 plus a pairwise sum of c_1..c_k, then one division.  reduceat

@@ -60,6 +60,10 @@ def _check_shapes(y: np.ndarray, X: np.ndarray, names) -> None:
         raise ValueError("need at least 2 observations and 1 candidate column")
     if len(names) != X.shape[1]:
         raise ValueError("one name per candidate column required")
+    first: dict = {}
+    for col, name in enumerate(names, start=1):
+        if first.setdefault(name, col) != col:
+            raise ValueError(f"column name {name!r} names columns {first[name]} and {col}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +96,8 @@ class Dataset:
             row, col = bad
             raise ValueError(f"non-finite X cell at row {row + 1}, column "
                              f"{self.names[col]!r}: {X[row, col]}")
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
+        bad = _first_nonfinite(y[:, None])
+        if bad is not None:
             raise ValueError(f"non-finite y cell at row {bad[0] + 1}: {y[bad[0]]}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)

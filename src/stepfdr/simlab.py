@@ -67,6 +67,10 @@ class SimConfig:
     effect_target: float = DEFAULT_EFFECT_TARGET
 
     def __post_init__(self):
+        for name in ("m", "beta_type", "p_index", "replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 2:
             raise ValueError("m must be at least 2")
         if not abs(self.rho) < 1.0:
@@ -79,7 +83,8 @@ class SimConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         p_from_index(self.p_index, self.m)  # validates
         if self.c_scale != "auto" and not (
-            isinstance(self.c_scale, (int, float)) and 0 < self.c_scale < math.inf
+            isinstance(self.c_scale, (int, float)) and not isinstance(self.c_scale, bool)
+            and 0 < self.c_scale < math.inf
         ):
             raise ValueError(f"c_scale must be positive and finite or 'auto', got {self.c_scale!r}")
         if not math.isfinite(self.effect_target):
@@ -222,10 +227,9 @@ def run_config(
     ratio-estimator standard error.
     """
     root = RandomSource(config.seed)
-    X = gen_design(config.m, config.n, config.rho,
-                   root.substream(1, config.m, _rho_code(config.rho)))
-    beta = gen_beta(config, X, root.substream(2, config.m, _rho_code(config.rho),
-                                              config.beta_type, config.p_index))
+    cell = (config.m, _rho_code(config.rho), config.beta_type, config.p_index)
+    X = gen_design(config.m, config.n, config.rho, root.substream(1, *cell[:2]))
+    beta = gen_beta(config, X, root.substream(2, *cell))
     signal = X @ beta
     pool = cross_products(X, True, signal)
     m, reps = config.m, config.replications
@@ -234,9 +238,7 @@ def run_config(
     rss = np.full((reps, m + 1), np.inf)
     bias = np.full((reps, m + 1), np.inf)
     for r in range(reps):
-        eps = root.substream(3, config.m, _rho_code(config.rho),
-                             config.beta_type, config.p_index, r)
-        y = signal + eps.generator().standard_normal(config.n)
+        y = signal + root.substream(3, *cell, r).generator().standard_normal(config.n)
         _, rss_r, bias_r = forward_sweep(pool, y, m)
         rss[r, :len(rss_r)] = rss_r
         bias[r, :len(bias_r)] = bias_r

@@ -102,6 +102,33 @@ class TestIngest:
         with pytest.raises(ValueError, match=f"{message}$"):
             ingest(f, response="Y")
 
+    @pytest.mark.parametrize("split_bytes", [1 << 62, 1], ids=["one-process", "forked"])
+    def test_a_cell_that_is_not_utf8_is_named_by_row_and_column(self, tmp_path, split_bytes):
+        # Unchecked, the error named only the codec and a byte position.
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"a,b,Y\n1,2,3\n4,5,6\n7,\xe98,9\n1,5,2\n")
+        with mock.patch.object(dataio, "SPLIT_BYTES", split_bytes):
+            with pytest.raises(ValueError) as exc:
+                ingest(f, response="Y")
+        assert str(exc.value) == f"{f}: non-numeric cell at row 3, column 'b': '\\\\xe98'"
+
+    @pytest.mark.parametrize("body", [b"1,2\n3,4\n5,6\n", b"1,2\n3,\xe9\n5,6\n"],
+                             ids=["utf8-body", "bad-body"])
+    def test_a_header_that_is_not_utf8_is_named(self, tmp_path, body):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\nY,b\xe9\n" + body)  # after a blank line
+        with pytest.raises(ValueError) as exc:
+            ingest(f, response="Y")
+        assert str(exc.value) == f"{f}: the header is not UTF-8 text"
+
+    def test_a_bad_byte_past_the_header_leaves_the_header_whole(self, tmp_path):
+        # The header reader decodes ahead of the header line, into the body.
+        f = tmp_path / "d.csv"
+        f.write_bytes("Y,größe\n1,2\n3,".encode() + b"\xe9\n5,6\n")
+        with pytest.raises(ValueError) as exc:
+            ingest(f, response="Y")
+        assert str(exc.value) == f"{f}: non-numeric cell at row 2, column 'größe': '\\\\xe9'"
+
     def test_underscore_cells_parse_as_float_does(self, tmp_path):
         f = _write(tmp_path, "d.csv", "a,Y\n1_000,2\n3,4\n5,6_5\n")
         ds = ingest(f, response="Y", standardize_data=False)
@@ -182,6 +209,17 @@ class TestExpand:
     def test_unknown_exclusion_rejected(self, diabetes_main):
         with pytest.raises(ValueError, match="unknown column"):
             expand(diabetes_main, ExpansionSpec(square_excluded=("NOPE",)))
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a^2"), "column name 'a^2' names columns 2 and 4"),
+        (("a", "b", "a*b"), "column name 'a*b' names columns 3 and 4"),
+    ], ids=["square", "product"])
+    def test_a_term_named_like_a_column_is_rejected(self, names, message):
+        # Unchecked, the expanded pool held two columns of one name.
+        X = np.random.default_rng(5).standard_normal((12, len(names)))
+        with pytest.raises(ValueError) as exc:
+            expand(Dataset(y=np.arange(12.0), X=X, names=names), ExpansionSpec())
+        assert str(exc.value) == message
 
     def test_result_standardized(self, diabetes_quad):
         assert diabetes_quad.standardized
@@ -832,6 +870,16 @@ class TestCli:
         assert rc == 1 and captured.out == ""
         assert captured.err == ("error: column 'big' is too large to standardize: "
                                 "its squared length overflows\n")
+
+    def test_select_expand_rejects_a_term_named_like_a_column(self, tmp_path, capsys):
+        # Unchecked, the report held two 'a*b' rows that could not be told apart.
+        table = np.random.default_rng(6).standard_normal((30, 4))
+        rows = ["a,b,a*b,Y"] + [",".join(f"{v:.6f}" for v in row) for row in table]
+        f = _write(tmp_path, "d.csv", "\n".join(rows) + "\n")
+        rc = main(["select", "--data", str(f), "--response", "Y", "--method", "aic", "--expand"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == "error: column name 'a*b' names columns 3 and 4\n"
 
     def _select(self, *flags):
         return main(["select", "--data", diabetes_path(), "--response", "Y", *flags])

@@ -49,6 +49,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(y=np.zeros(4), X=np.zeros(4), names=("a",))
 
+    @pytest.mark.parametrize("build", [Dataset, Dataset._derived], ids=["checked", "derived"])
+    def test_a_repeated_name_is_rejected_with_both_columns(self, build):
+        # Two coefficients of one name could not be told apart in a report.
+        X = np.arange(12.0).reshape(4, 3)
+        with pytest.raises(ValueError, match=re.escape("column name 'a' names columns 1 and 3")):
+            build(np.arange(4.0), X, ("a", "b", "a"))
+
     @pytest.mark.parametrize("fit", [standardize, forward_path])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_x_cell_is_named_by_row_and_column(self, capfd, value, fit):
@@ -101,6 +108,24 @@ class TestStandardize:
             with pytest.raises(ValueError, match="column 'big' is too large to standardize") \
                     as info:
                 standardize(ds)
+        assert not isinstance(info.value, DegenerateColumnError)
+
+    def test_a_response_too_large_is_rejected(self):
+        # Every cell is finite; only the squared length overflows.
+        y = np.tile([1e200, -2e200, 3e200], 4)
+        ds = Dataset(y=y, X=np.arange(24.0).reshape(12, 2) ** 2, names=("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the response is too large to standardize: "
+                                                 "its squared length overflows$"):
+                standardize(ds)
+
+    def test_a_constant_response_is_rejected(self):
+        # Seven 0.1s center to +-1.4e-17, not to zero.
+        ds = Dataset(y=np.full(7, 0.1), X=np.arange(14.0).reshape(7, 2) ** 2, names=("a", "b"))
+        with pytest.raises(ValueError, match="^the response is constant and cannot be "
+                                             "standardized$") as info:
+            standardize(ds)
         assert not isinstance(info.value, DegenerateColumnError)
 
 

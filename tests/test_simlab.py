@@ -1,6 +1,7 @@
 """Monte Carlo laboratory pieces against direct reference computations."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,25 @@ class TestGrid:
             SimConfig(m=20, rho=0.0, beta_type=1, p_index=1, c_scale=-1.0)
         with pytest.raises(ValueError, match="replications must be positive"):
             SimConfig(m=20, rho=0.0, beta_type=1, p_index=1, replications=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 4.5), ("m", 20.0), ("beta_type", True), ("p_index", 2.0), ("replications", True),
+        ("replications", 10.0), ("seed", 1.5), ("seed", "1"),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # Unchecked, m=4.5 built a config and seed=1.5 failed only in run_config,
+        # with numpy's "seed must be integer".
+        cell = dict(m=20, rho=0.0, beta_type=1, p_index=1)
+        cell[field] = value
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            SimConfig(**cell)
+
+    def test_c_scale_is_not_a_bool(self):
+        # Unchecked, True was taken as a scale of 1.
+        with pytest.raises(ValueError, match="c_scale must be positive and finite or 'auto', "
+                                             "got True"):
+            SimConfig(m=20, rho=0.0, beta_type=1, p_index=1, c_scale=True)
+        assert SimConfig(m=np.int64(20), rho=0.0, beta_type=1, p_index=1, c_scale=2).m == 20
 
     def test_config_key_and_n(self):
         cfg = SimConfig(m=20, rho=-0.5, beta_type=3, p_index=6)
